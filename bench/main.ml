@@ -174,10 +174,10 @@ let experiment_tests () =
   let replay_streamed =
     Bechamel.Test.make ~name:"stream/replay-streamed"
       (Bechamel.Staged.stage (fun () ->
-           match Serialize.Stream.open_string blob with
+           match Serialize.Stream.Mapped.of_string blob with
            | Error e -> failwith e
            | Ok rd ->
-             (match Replay.run_stream (module Net) ~delay:50 rd with
+             (match Replay.run_mapped (module Net) ~delay:50 rd with
               | Error e -> failwith e
               | Ok o -> ignore o)))
   in
@@ -321,7 +321,7 @@ let streaming_demo ~smoke ~scale =
     match Serialize.Stream.open_file ~path with
     | Error e -> failwith e
     | Ok rd ->
-      let result = Replay.run_stream (module Net) ~delay:50 rd in
+      let result = Replay.run_mapped (module Net) ~delay:50 rd in
       Serialize.Stream.close rd;
       (match result with Error e -> failwith e | Ok o -> o)
   in

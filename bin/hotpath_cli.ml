@@ -526,24 +526,25 @@ let replay_cmd =
     with_events_sink events (fun sink ->
       (if stream then
          (* Single pass: the hot set cannot be known mid-stream, so the
-            window samples carry no hits/noise fields.  Regular files go
-            through the zero-copy mapped reader; anything it declines
-            (pipes, fifos) falls back to the buffered pull reader —
-            outcomes are byte-identical either way. *)
+            window samples carry no hits/noise fields.  Regular files are
+            mapped; anything the mapping declines (pipes, fifos) is read
+            through the pull feed — one parser, byte-identical outcomes
+            either way. *)
+         let module Stream = Hotpath_trace.Serialize.Stream in
          let ev = Replay.events ~window:events_window sink in
-         let packed = scheme_of_string scheme in
-         match Hotpath_trace.Serialize.Stream.Mapped.map_file ~path:trace with
-         | Ok m ->
-           (match Replay.run_mapped ~events:ev packed ~delay m with
-            | Error e -> fail e
-            | Ok outcome -> report outcome)
-         | Error _ -> (
-           match Hotpath_trace.Serialize.Stream.open_file ~path:trace with
-           | Error e -> fail e
-           | Ok rd ->
-             let result = Replay.run_stream ~events:ev packed ~delay rd in
-             Hotpath_trace.Serialize.Stream.close rd;
-             (match result with Error e -> fail e | Ok outcome -> report outcome))
+         let opened =
+           match Stream.Mapped.map_file ~path:trace with
+           | Ok _ as m -> m
+           | Error _ -> Stream.open_file ~path:trace
+         in
+         match opened with
+         | Error e -> fail e
+         | Ok rd ->
+           let result =
+             Replay.run_mapped ~events:ev (scheme_of_string scheme) ~delay rd
+           in
+           Stream.close rd;
+           (match result with Error e -> fail e | Ok outcome -> report outcome)
        else
          match Hotpath_trace.Serialize.load ~path:trace with
          | Error e -> fail e

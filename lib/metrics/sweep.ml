@@ -102,7 +102,7 @@ let run_stream ?events ?events_window ?jobs scheme rd ~threshold ~delays =
   (* A single pass cannot know the hot set while it runs, so the streamed
      replay_window samples carry no hits/noise fields. *)
   let ev = replay_events ?events ?events_window () in
-  match Replay.run_many_stream ?events:ev ?jobs scheme ~delays rd with
+  match Replay.run_many_mapped ?events:ev ?jobs scheme ~delays rd with
   | Error _ as e -> e
   | Ok [] -> Ok []
   | Ok (o :: _ as outcomes) ->

@@ -72,8 +72,9 @@ val run_stream :
   threshold:float ->
   delays:int list ->
   (point list, string) result
-(** {!run} over an HOTPATH3 stream ({!Replay.run_many_stream}): one
-    traversal of the chunk stream, constant memory in the trace length.
+(** {!run} over an HOTPATH3 reader on any feed
+    ({!Replay.run_many_mapped}): one traversal of the stream, constant
+    memory in the trace length.
     The hot set is ground truth from full-run frequencies, so it cannot
     pre-exist the walk; it is computed at [threshold] from the streamed
     outcome's frequencies — [run_stream ~threshold] equals [run] with
@@ -81,8 +82,8 @@ val run_stream :
     Stream decode errors surface as [Error].  [events] behaves as in
     {!run} except the single-pass [replay_window] samples omit
     hits/noise — the hot set does not exist until the walk ends.  [jobs]
-    fans each decoded frame chunk over lane groups
-    ({!Replay.run_many_stream}); results stay byte-identical. *)
+    fans each decoded frame over lane groups
+    ({!Replay.run_many_mapped}); results stay byte-identical. *)
 
 val run_stream_timed :
   ?events:Hotpath_util.Events.sink ->

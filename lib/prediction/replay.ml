@@ -1464,26 +1464,28 @@ let run ?events scheme ~delay r =
   | [ o ] -> o
   | _ -> assert false
 
-(* Streamed replay: a driver over online [Session]s.  Each lane group is
-   one session (the same per-instance body as [run_many], with per-path
-   state grown as the stream declares paths; nothing is ever O(trace)),
-   and every decoded chunk is pushed into every session.  Because the
-   batch path and the public online path share the session walker, their
-   bit-for-bit equivalence is structural, not duplicated code kept in
-   step by tests alone.
+(* File replay runs online [Session]s over a HOTPATH3 reader, pulled
+   or mapped (both are the same reader type).  Each lane group is one
+   session (the same per-instance body as [run_many], with
+   per-path state grown as the stream declares paths; nothing is ever
+   O(trace)).  Each instance frame is decoded once into one shared
+   [Batch.t], and every session replays it via [Session.push_batch].
+   Because this loop and the public online path share the session
+   walker, their bit-for-bit equivalence is structural, not duplicated
+   code kept in step by tests alone.
 
-   [?jobs] maps the HOTPATH3 frame chunks onto the same fan-out design
-   as the materialized engine: each decoded chunk is replayed by
-   contiguous lane groups (clamped to the machine's domain budget), all
-   lane state carried across chunk seams inside its owning session.
-   Sessions read the shared [Path_table] concurrently during a chunk
-   fan-out; the driver only grows it between fan-outs ([Stream.next]).
-   Results and the merged event stream are byte-identical at every job
-   count. *)
+   [?jobs] maps the frames onto the same fan-out design as the
+   materialized engine: each decoded batch is replayed by contiguous
+   lane groups (clamped to the machine's domain budget), all lane state
+   carried across frame seams inside its owning session.  Sessions only
+   read the batch and the shared [Path_table] during a push, so the
+   groups share them concurrently; the loop refills the batch and
+   grows the table only between fan-outs ([Stream.next_batch]).  Results
+   and the merged event stream are byte-identical at every job count. *)
 module Stream = Hotpath_trace.Serialize.Stream
 
-let run_many_stream ?events:ev ?(jobs = 1) (module S : Scheme.S) ~delays rd =
-  if jobs < 1 then invalid_arg "Replay.run_many_stream: jobs must be >= 1";
+let run_many_mapped ?events:ev ?(jobs = 1) (module S : Scheme.S) ~delays rd =
+  if jobs < 1 then invalid_arg "Replay.run_many_mapped: jobs must be >= 1";
   let ev = live ev in
   match Array.of_list delays with
   | [||] -> Ok []
@@ -1509,89 +1511,9 @@ let run_many_stream ?events:ev ?(jobs = 1) (module S : Scheme.S) ~delays rd =
                  (fun e -> { e with ev_sink = Events.of_fn (Vec.push bufs.(s)) })
                  ev
            in
-           (* The stream decoder already validated frame structure, ids,
-              and arrival codes; linting belongs to callers that opt in
-              (sessions over a socket), not to every batch replay. *)
-           match
-             Session.create ?events:ev_s ~lint:false (module S)
-               ~delays:(Array.to_list slice) ~program ~table
-           with
-           | Ok sess -> sess
-           | Error _ -> assert false (* lint off: create cannot fail *))
-        slices
-    in
-    let rec consume () =
-      match Stream.next rd with
-      | Error _ as e -> e
-      | Ok None -> Ok ()
-      | Ok (Some chunk) ->
-        let ids = chunk.Stream.ids in
-        let arrs = chunk.Stream.arrivals in
-        (* One logical read of the chunk, independent of the fan-out. *)
-        ignore (Atomic.fetch_and_add reads (Array.length ids));
-        let push sess =
-          match Session.push_chunk sess ~ids ~arrivals:arrs with
-          | Ok () -> ()
-          | Error e ->
-            (* Unreachable: decoder-validated chunks against the shared
-               table cannot be rejected by an unlinted session. *)
-            invalid_arg ("Replay.run_many_stream: " ^ e)
-        in
-        if ng = 1 then push sessions.(0)
-        else ignore (Pool.map_array ~jobs:ng push sessions);
-        consume ()
-    in
-    (match consume () with
-     | Error _ as e -> e
-     | Ok () ->
-       let lrs =
-         Array.concat
-           (Array.to_list
-              (Array.map (fun sess -> Array.of_list (Session.finish sess)) sessions))
-       in
-       if ng > 1 then
-         Option.iter (fun e -> merge_event_lines e.ev_sink slices bufs) ev;
-       Ok (Array.to_list lrs))
-
-let run_stream ?events scheme ~delay rd =
-  match run_many_stream ?events scheme ~delays:[ delay ] rd with
-  | Error _ as e -> e
-  | Ok [ o ] -> Ok o
-  | Ok _ -> assert false
-
-(* Mapped replay: [run_many_stream] over the zero-copy reader.  The
-   frame payload is decoded once per instance frame into one shared
-   [Batch.t] — ids and widened arrival codes, no Bytes.blit, no
-   per-chunk array allocation — and every lane-group session replays
-   the batch via [Session.push_batch].  Sessions only read the batch
-   during a push, so the groups share it concurrently and the driver
-   refills it after the fan-out joins; the table grows only between
-   fan-outs ([Mapped.next_batch]), like the pull-reader driver. *)
-let run_many_mapped ?events:ev ?(jobs = 1) (module S : Scheme.S) ~delays m =
-  if jobs < 1 then invalid_arg "Replay.run_many_mapped: jobs must be >= 1";
-  let ev = live ev in
-  match Array.of_list delays with
-  | [||] -> Ok []
-  | lanes ->
-    let k = Array.length lanes in
-    let program = Stream.Mapped.program m in
-    let table = Stream.Mapped.table m in
-    let workers = min (Pool.effective_workers ~jobs) k in
-    let slices =
-      if workers <= 1 then [| lanes |] else shard_slices lanes workers
-    in
-    let ng = Array.length slices in
-    let bufs = Array.map (fun _ -> Vec.create ()) slices in
-    let sessions =
-      Array.mapi
-        (fun s slice ->
-           let ev_s =
-             if ng = 1 then ev
-             else
-               Option.map
-                 (fun e -> { e with ev_sink = Events.of_fn (Vec.push bufs.(s)) })
-                 ev
-           in
+           (* The reader already validated frame structure, ids, and
+              arrival codes; linting belongs to callers that opt in
+              (sessions over a socket), not to every file replay. *)
            match
              Session.create ?events:ev_s ~lint:false (module S)
                ~delays:(Array.to_list slice) ~program ~table
@@ -1602,7 +1524,7 @@ let run_many_mapped ?events:ev ?(jobs = 1) (module S : Scheme.S) ~delays m =
     in
     let batch = Batch.create () in
     let rec consume () =
-      match Stream.Mapped.next_batch m batch with
+      match Stream.next_batch rd batch with
       | Error _ as e -> e
       | Ok false -> Ok ()
       | Ok true ->
@@ -1632,8 +1554,8 @@ let run_many_mapped ?events:ev ?(jobs = 1) (module S : Scheme.S) ~delays m =
          Option.iter (fun e -> merge_event_lines e.ev_sink slices bufs) ev;
        Ok (Array.to_list lrs))
 
-let run_mapped ?events scheme ~delay m =
-  match run_many_mapped ?events scheme ~delays:[ delay ] m with
+let run_mapped ?events scheme ~delay rd =
+  match run_many_mapped ?events scheme ~delays:[ delay ] rd with
   | Error _ as e -> e
   | Ok [ o ] -> Ok o
   | Ok _ -> assert false

@@ -141,52 +141,20 @@ module Make (S : Scheme.S) : sig
     outcome list
 end
 
-val run_stream :
-  ?events:events ->
-  Scheme.packed ->
-  delay:int ->
-  Hotpath_trace.Serialize.Stream.reader ->
-  (outcome, string) result
-(** Streamed replay: drive the scheme from an HOTPATH3 chunk iterator
-    instead of a materialized recording.  Field-by-field identical to
-    [run ~delay] on the recording the stream serializes, but peak memory
-    is O(paths + chunk) — the instance stream is never held.  Decode
-    errors from the stream surface as [Error]; the reader is left
-    positioned at the failure (poisoned).
-    @raise Invalid_argument when [delay < 1]. *)
-
-val run_many_stream :
-  ?events:events ->
-  ?jobs:int ->
-  Scheme.packed ->
-  delays:int list ->
-  Hotpath_trace.Serialize.Stream.reader ->
-  (outcome list, string) result
-(** Multiplexed streamed replay; single traversal of the chunk stream,
-    one outcome per delay, each identical to the materialized
-    [run ~delay].  An empty [delays] returns [Ok []] without touching
-    the reader.
-
-    [jobs] (default 1) fans each decoded HOTPATH3 frame chunk out over
-    contiguous lane groups (clamped to the domain budget, like
-    {!run_many}); lane state carries across chunk seams inside its
-    owning group, so results and the merged event stream are
-    byte-identical at every job count, and {!instance_reads} still
-    counts the stream once.
-    @raise Invalid_argument when any delay is [< 1] or [jobs < 1]. *)
-
 val run_mapped :
   ?events:events ->
   Scheme.packed ->
   delay:int ->
-  Hotpath_trace.Serialize.Stream.Mapped.t ->
+  Hotpath_trace.Serialize.Stream.reader ->
   (outcome, string) result
-(** {!run_stream} over the zero-copy mapped reader
-    ({!Hotpath_trace.Serialize.Stream.Mapped}): frames are validated and
-    decoded in place out of the mapping, one instance frame at a time
-    into a reused dense batch — no [Bytes] copy per frame, no per-chunk
-    array allocation.  Outcomes, counter registries, and event streams
-    are byte-identical to {!run_stream} on the same bytes.
+(** Replay from an HOTPATH3 reader, pull
+    ({!Hotpath_trace.Serialize.Stream.open_file}) or mapped
+    ({!Hotpath_trace.Serialize.Stream.Mapped.map_file}).
+    Field-by-field identical to [run ~delay] on the recording the stream
+    serializes, but peak memory is O(paths + frame): instance frames
+    are decoded one at a time into a reused dense batch, and the
+    instance stream is never held.  Decode errors surface as [Error];
+    the reader is left poisoned at the failure.
     @raise Invalid_argument when [delay < 1]. *)
 
 val run_many_mapped :
@@ -194,13 +162,20 @@ val run_many_mapped :
   ?jobs:int ->
   Scheme.packed ->
   delays:int list ->
-  Hotpath_trace.Serialize.Stream.Mapped.t ->
+  Hotpath_trace.Serialize.Stream.reader ->
   (outcome list, string) result
-(** Multiplexed {!run_mapped}; the mapped counterpart of
-    {!run_many_stream}, with the same lane-group fan-out and the same
-    byte-identity guarantees at every job count.  All lane groups replay
-    the same shared batch concurrently (sessions only read it during a
-    push), so jobs > 1 adds no decode work and no extra copies.
+(** Multiplexed {!run_mapped}: a single traversal of the stream, one
+    outcome per delay, each identical to the materialized
+    [run ~delay].  An empty [delays] returns [Ok []] without touching
+    the reader.
+
+    [jobs] (default 1) fans each decoded frame out over contiguous lane
+    groups (clamped to the domain budget, like {!run_many}).  All
+    groups replay the same shared batch, so jobs > 1 adds no decode
+    work and no copies; lane state carries across frame seams inside
+    its owning group, so results and the merged event stream are
+    byte-identical at every job count, and {!instance_reads} still
+    counts the stream once.
     @raise Invalid_argument when any delay is [< 1] or [jobs < 1]. *)
 
 val instance_reads : unit -> int

@@ -122,16 +122,15 @@ end
 
 (* The scheme-state type is existential to the session; instead of a
    first-class-module wrapper per push, [create] closes the typed state
-   into three monomorphic closures.  Everything the batch engine does
-   per chunk lives in [s_walk]; [Replay.run_many_stream] is a driver
-   over these same sessions, which is what makes the online/batch
+   into monomorphic closures.  Everything the batch engine does per
+   batch lives in [s_walk]; [Replay.run_many_mapped] replays through
+   these same sessions, which is what makes the online/batch
    equivalence hold by construction rather than by parallel
    maintenance. *)
 type t = {
   s_lint : Lint.Incremental.t option;
   s_sync : unit -> unit;
-  s_walk : int array -> Bytes.t -> int -> unit;
-  s_walk_batch : Batch.t -> unit;
+  s_walk : Batch.t -> unit;
   s_outcomes : unit -> outcome list;
   s_synced : unit -> int;
   s_instances : unit -> int;
@@ -220,11 +219,10 @@ let create ?events:ev ?(lint = true) ?on_predict (module S : Scheme.S) ~delays
         done
     in
     (* The per-instance body, identical to the batch engine's walker:
-       lane state persists across calls, so pushing [0, n) in one chunk
-       or instance-by-instance is the same computation.  Generic over
-       how instance [j]'s arrival code is fetched, so the packed-bytes
-       chunk and the batched int decode drive the very same loop. *)
-    let walk_core ids code_at nc =
+       lane state persists across calls, so pushing [0, n) in one batch
+       or instance-by-instance is the same computation. *)
+    let walk (b : Batch.t) =
+      let ids = b.Batch.ids and arrs = b.Batch.arrs and nc = Batch.length b in
       let heads = !heads
       and branches = !branches
       and blocks = !blocks
@@ -237,7 +235,7 @@ let create ?events:ev ?(lint = true) ?on_predict (module S : Scheme.S) ~delays
         let head = heads.(pid)
         and n_branches = branches.(pid)
         and n_blocks = blocks.(pid)
-        and arrival = Batch.kind_of_code (code_at j) in
+        and arrival = Batch.kind_of_code (Array.unsafe_get arrs j) in
         for l = 0 to gk - 1 do
           let pa = !(pa.(l)) in
           if pa.(pid) < i then begin
@@ -268,13 +266,6 @@ let create ?events:ev ?(lint = true) ?on_predict (module S : Scheme.S) ~delays
       done;
       total := base + nc
     in
-    let walk ids arrs nc =
-      walk_core ids (fun j -> Char.code (Bytes.unsafe_get arrs j)) nc
-    in
-    let walk_batch (b : Batch.t) =
-      let arrs = b.Batch.arrs in
-      walk_core b.Batch.ids (fun j -> Array.unsafe_get arrs j) (Batch.length b)
-    in
     let outcomes () =
       sync ();
       sample_lanes Sampler.final !total;
@@ -296,73 +287,15 @@ let create ?events:ev ?(lint = true) ?on_predict (module S : Scheme.S) ~delays
           })
     in
     Ok
-      { s_lint; s_sync = sync; s_walk = walk; s_walk_batch = walk_batch;
-        s_outcomes = outcomes; s_synced = (fun () -> !synced);
-        s_instances = (fun () -> !total); s_done = None }
+      { s_lint; s_sync = sync; s_walk = walk; s_outcomes = outcomes;
+        s_synced = (fun () -> !synced); s_instances = (fun () -> !total);
+        s_done = None }
 
 let instances t = t.s_instances ()
 
-let push_chunk t ~ids ~arrivals =
-  match t.s_done with
-  | Some _ -> Error "Session.push_chunk: session already finished"
-  | None ->
-    let n = Array.length ids in
-    if Bytes.length arrivals <> n then
-      Error
-        (Printf.sprintf "Session.push_chunk: %d arrivals for %d instances"
-           (Bytes.length arrivals) n)
-    else begin
-      (* The lint gate runs before any session state moves: a rejected
-         chunk leaves counters, predictions, and the event stream exactly
-         as they were. *)
-      let gate =
-        match t.s_lint with
-        | Some lt ->
-          let diags = Lint.Incremental.check_chunk lt ~ids ~arrivals in
-          if Diag.has_errors diags then Error (first_error diags) else Ok ()
-        | None ->
-          (* Unlinted sessions still refuse ids and arrival bytes the
-             walker cannot process — undeclared paths would silently read
-             zeroed descriptor slots. *)
-          t.s_sync ();
-          let np = t.s_synced () in
-          let err = ref None in
-          (try
-             Array.iteri
-               (fun j id ->
-                  if id < 0 || id >= np then begin
-                    err :=
-                      Some
-                        (Printf.sprintf
-                           "Session.push_chunk: path id %d out of range (%d \
-                            paths)"
-                           id np);
-                    raise Exit
-                  end;
-                  let c = Char.code (Bytes.get arrivals j) in
-                  if c > 2 then begin
-                    err :=
-                      Some
-                        (Printf.sprintf
-                           "Session.push_chunk: invalid arrival code %d" c);
-                    raise Exit
-                  end)
-               ids
-           with Exit -> ());
-          (match !err with Some e -> Error e | None -> Ok ())
-      in
-      match gate with
-      | Error _ as e -> e
-      | Ok () ->
-        t.s_sync ();
-        t.s_walk ids arrivals n;
-        Ok ()
-    end
-
-(* Same protocol as [push_chunk] — finished check, validation gate
-   before any state moves, then the shared walker — reading the widened
-   int codes of a decoded batch.  [push_batch b] after [fill_of_chunk]
-   is bit-identical to pushing the chunk itself. *)
+(* The validation gate runs before any session state moves: a rejected
+   batch leaves counters, predictions, and the event stream exactly as
+   they were. *)
 let push_batch t (b : Batch.t) =
   match t.s_done with
   | Some _ -> Error "Session.push_batch: session already finished"
@@ -374,6 +307,9 @@ let push_batch t (b : Batch.t) =
         let diags = Lint.Incremental.check_batch lt b in
         if Diag.has_errors diags then Error (first_error diags) else Ok ()
       | None ->
+        (* Unlinted sessions still refuse ids and arrival codes the
+           walker cannot process — undeclared paths would silently read
+           zeroed descriptor slots. *)
         t.s_sync ();
         let np = t.s_synced () in
         let ids = b.Batch.ids and arrs = b.Batch.arrs in
@@ -405,16 +341,20 @@ let push_batch t (b : Batch.t) =
      | Error _ as e -> e
      | Ok () ->
        t.s_sync ();
-       t.s_walk_batch b;
+       t.s_walk b;
        Ok ())
 
 let code_of_arrival = function
-  | Path.Loop_head -> '\000'
-  | Path.Entry -> '\001'
-  | Path.Continuation -> '\002'
+  | Path.Loop_head -> 0
+  | Path.Entry -> 1
+  | Path.Continuation -> 2
 
 let push t ~path_id ~arrival =
-  push_chunk t ~ids:[| path_id |] ~arrivals:(Bytes.make 1 (code_of_arrival arrival))
+  let b = Batch.create ~capacity:1 () in
+  b.Batch.ids.(0) <- path_id;
+  b.Batch.arrs.(0) <- code_of_arrival arrival;
+  Batch.set_length b 1;
+  push_batch t b
 
 let finish t =
   match t.s_done with

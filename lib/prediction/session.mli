@@ -5,18 +5,19 @@
     a set of delay lanes — scheme state, per-path frequency and capture
     counters, accepted predictions, event sampler cursors — and accepts
     the instance stream in caller-chosen pieces: one instance at a time
-    ({!push}), decoded HOTPATH3 chunks ({!push_chunk}), or anything in
-    between.  Chunking is pure loop tiling: pushing a trace in any
-    granularity (the differential suite drives 1, prime-sized, and
-    larger-than-trace chunks) produces outcomes, counter registries, and
-    event streams bit-identical to the batch engine on the same stream —
-    a guarantee that holds by construction, because
-    {!Replay.run_many_stream} is itself a driver over these sessions.
+    ({!push}), or any {!Hotpath_trace.Batch.t} — the one decoded form
+    every HOTPATH3 feed produces ({!push_batch}).  Batching is pure loop
+    tiling: pushing a trace in any granularity (the differential suite
+    drives 1, prime-sized, and larger-than-trace batches) produces
+    outcomes, counter registries, and event streams bit-identical to the
+    batch engine on the same stream — a guarantee that holds by
+    construction, because {!Replay.run_many_mapped} itself replays
+    through these sessions.
 
     Sessions also carry the trace lint gate online (on by default): each
-    chunk is checked against the program — newly declared paths, then
+    batch is checked against the program — newly declared paths, then
     every inter-instance hand-off including the seam from the previous
-    chunk — {e before} any session state moves, so a malformed trace
+    batch — {e before} any session state moves, so a malformed trace
     pushed over a socket is rejected without corrupting the session
     ([Hotpath_trace.Lint.Incremental]).
 
@@ -116,12 +117,12 @@ val create :
   (t, string) result
 (** [create (module S) ~delays ~program ~table] opens a session
     multiplexing one lane per delay, against a path table that may keep
-    growing (the streaming decode protocol extends it between chunks; the
+    growing (the streaming decode protocol extends it between batches; the
     session syncs per-path state on every push).
 
     [lint] (default [true]) runs the attach-time program gate
     immediately — [Error] if the program fails the structural linter —
-    and the chunk-wise trace linter on every push.  [on_predict] is
+    and the batch-wise trace linter on every push.  [on_predict] is
     called synchronously at each accepted prediction, in lane order
     within an instance — the online counterpart of reading
     [outcome.predictions] at the end.  It must not mutate the session.
@@ -129,24 +130,18 @@ val create :
     @raise Invalid_argument for delays the scheme itself rejects
     (mirroring the batch engine). *)
 
-val push_chunk : t -> ids:int array -> arrivals:Bytes.t -> (unit, string) result
-(** Feed one decoded chunk ([Serialize.Stream.chunk] parts).  On
-    [Error] — lint rejection, undeclared path id, invalid arrival byte,
-    length mismatch, or a finished session — no session state has
-    changed: counters, predictions, and the event stream are exactly as
-    before the call, so a server can drop one bad client without
-    poisoning the session-independent state it shares. *)
-
 val push_batch : t -> Hotpath_trace.Batch.t -> (unit, string) result
-(** {!push_chunk} over a decoded {!Hotpath_trace.Batch.t} — the same
-    validation gate (incremental lint when enabled, id-range and
-    arrival-code checks otherwise), the same no-state-change-on-[Error]
-    contract, the same walker.  Pushing a batch filled from a chunk is
-    bit-identical to pushing the chunk; the batch is read only during
+(** Feed one decoded batch.  The gate is the incremental linter when
+    enabled, id-range and arrival-code checks otherwise.  On [Error] —
+    lint rejection, undeclared path id, invalid arrival code, or a
+    finished session — no session state has changed: counters,
+    predictions, and the event stream are exactly as before the call,
+    so a server can drop one bad client without poisoning the
+    session-independent state it shares.  The batch is read only during
     the call and may be refilled immediately after. *)
 
 val push : t -> path_id:int -> arrival:Path.head_kind -> (unit, string) result
-(** Single-instance {!push_chunk}. *)
+(** {!push_batch} of a one-instance batch. *)
 
 val instances : t -> int
 (** Instances accepted so far. *)

@@ -214,7 +214,7 @@ module Server = struct
   let attach t conn st program =
     match
       Session.create ~lint:true st.st_packed ~delays:st.st_delays ~program
-        ~table:(Decoder.table st.st_decoder)
+        ~table:(Stream.table st.st_decoder)
     with
     | exception Invalid_argument m -> fail t conn ~code:"handshake" ~message:m
     | Error e -> fail t conn ~code:"lint" ~message:e

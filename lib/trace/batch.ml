@@ -3,7 +3,7 @@
    Everything the replay hot loops touch per instance lives here as a
    plain int array: path ids, arrival codes, and (optionally) the
    per-instance descriptor gather (loop-head block, branch count, block
-   count).  Frames and chunks are decoded into a batch exactly once;
+   count).  Instance frames are decoded into a batch exactly once;
    every lane group then walks cache-resident arrays instead of
    re-reading bytes or chasing per-path descriptor indirections.
 
@@ -63,19 +63,6 @@ let ensure_descriptors t n =
 let set_length t n =
   if n < 0 then invalid_arg "Batch.set_length: negative length";
   ensure t n;
-  t.n <- n
-
-(* Decode a pull-reader chunk (ids + packed arrival bytes) once.  No
-   validation: callers gate ids/arrivals exactly as they would for the
-   chunk itself. *)
-let fill_of_chunk t ~ids ~arrivals =
-  let n = Array.length ids in
-  ensure t n;
-  Array.blit ids 0 t.ids 0 n;
-  let arrs = t.arrs in
-  for i = 0 to n - 1 do
-    Array.unsafe_set arrs i (Char.code (Bytes.unsafe_get arrivals i))
-  done;
   t.n <- n
 
 (* Same mapping as [Recorder.arrival_of_code], on the int code. *)

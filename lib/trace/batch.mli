@@ -1,7 +1,7 @@
 (** A reusable dense view of a slice of the instance stream — the
     batched-decode contract between ingest and replay.
 
-    Frames and chunks are decoded {e once} into preallocated int
+    Instance frames are decoded {e once} into preallocated int
     arrays; the monomorphized kernels, session walkers, and the
     chunk-sharded [?jobs] engine consume those arrays directly instead
     of re-reading wire bytes (or chasing per-path descriptor
@@ -46,11 +46,6 @@ val ensure_descriptors : t -> int -> unit
 val set_length : t -> int -> unit
 (** Declare [n] instances valid after a direct array fill (grows the
     wire arrays first).  @raise Invalid_argument when [n < 0]. *)
-
-val fill_of_chunk : t -> ids:int array -> arrivals:Bytes.t -> unit
-(** Decode a pull-reader chunk into the batch: blit [ids], widen the
-    packed arrival bytes to int codes.  Performs no validation — gate
-    the contents exactly as you would the chunk. *)
 
 val kind_of_code : int -> Path.head_kind
 (** The {!Recorder.arrival_of_code} mapping on the widened int code

@@ -27,7 +27,7 @@ let ret_targets_of program =
 
 (* Per-path structural and transfer-legality checks; fills [f] and emits
    diagnostics through [add].  Shared by the whole-trace linter and the
-   chunk-wise {!Incremental} one, so a path is judged identically however
+   batch-wise {!Incremental} one, so a path is judged identically however
    it reaches the linter. *)
 let lint_path program ret_targets ~n_blocks add (p : Path.t) f =
   let id = p.Path.id in
@@ -173,8 +173,8 @@ let lint_first program add f0 a0 =
 
 (* One inter-instance hand-off: the previous instance's path ends, the
    current one begins with arrival byte [a] at global instance index
-   [i].  Shared between the whole-trace walk and the chunk-wise one —
-   chunk boundaries are invisible because the only carried state is the
+   [i].  Shared between the whole-trace walk and the batch-wise one —
+   batch boundaries are invisible because the only carried state is the
    previous path's facts. *)
 let lint_step program heads ret_targets add ~prev ~cur ~a ~i =
   if prev.f_ok && cur.f_ok then begin
@@ -335,7 +335,7 @@ module Incremental = struct
   let instances t = t.i_seen
 
   (* Lint every path declared since the last sync, exactly as
-     [check_parts] would, attributing the findings to the chunk that
+     [check_parts] would, attributing the findings to the batch that
      first made the path reachable. *)
   let sync_paths t add =
     let np = Path_table.size t.i_table in
@@ -359,24 +359,18 @@ module Incremental = struct
     sync_paths t (fun d -> diags := d :: !diags);
     List.rev !diags
 
-  (* The shared chunk walk, generic over how instance [j]'s path id and
-     arrival code are fetched — the packed-bytes chunk and the widened
-     int-array batch feed the same checks and seam protocol, so the two
-     ingest surfaces accept exactly the same streams.  [n_codes] may
-     exceed [n] only for the bytes form, where a mislengthed arrivals
-     container is still scanned for invalid codes in full. *)
-  let check_gen t ~n ~n_codes ~id_at ~code_at ~len_diag =
+  (* Lint one batch: newly declared paths, the batch's ids and arrival
+     codes, then every hand-off including the seam from the previous
+     batch. *)
+  let check_batch t (b : Batch.t) =
+    let n = Batch.length b in
+    let ids = b.Batch.ids and arrs = b.Batch.arrs in
     let diags = ref [] in
     let add d = diags := d :: !diags in
     sync_paths t add;
     let containers_ok = ref true in
-    (match len_diag with
-     | Some d ->
-       containers_ok := false;
-       add d
-     | None -> ());
     for j = 0 to n - 1 do
-      let id = id_at j in
+      let id = ids.(j) in
       if id < 0 || id >= t.i_synced then begin
         containers_ok := false;
         add
@@ -384,8 +378,8 @@ module Incremental = struct
              "path id %d outside table of %d paths" id t.i_synced)
       end
     done;
-    for j = 0 to n_codes - 1 do
-      let c = code_at j in
+    for j = 0 to n - 1 do
+      let c = arrs.(j) in
       if c < 0 || c > 2 then begin
         containers_ok := false;
         add
@@ -397,17 +391,17 @@ module Incremental = struct
       let prev = ref t.i_prev in
       for j = 0 to n - 1 do
         let i = t.i_seen + j in
-        let cur = id_at j in
-        if i = 0 then lint_first t.i_program add t.i_facts.(cur) (Char.chr (code_at 0))
+        let cur = ids.(j) in
+        if i = 0 then lint_first t.i_program add t.i_facts.(cur) (Char.chr arrs.(0))
         else
           lint_step t.i_program t.i_heads t.i_ret_targets add
             ~prev:t.i_facts.(!prev) ~cur:t.i_facts.(cur)
-            ~a:(Char.chr (code_at j)) ~i;
+            ~a:(Char.chr arrs.(j)) ~i;
         prev := cur
       done;
       let out = List.rev !diags in
-      (* Commit the seam state only when the chunk is clean: a rejected
-         chunk leaves the linter (and therefore the caller's session)
+      (* Commit the seam state only when the batch is clean: a rejected
+         batch leaves the linter (and therefore the caller's session)
          exactly where it was. *)
       if not (Diag.has_errors out) then begin
         t.i_prev <- !prev;
@@ -416,27 +410,4 @@ module Incremental = struct
       out
     end
     else List.rev !diags
-
-  let check_chunk t ~ids ~arrivals =
-    let n = Array.length ids in
-    let len_diag =
-      if Bytes.length arrivals <> n then
-        Some
-          (Diag.error ~code:"T202" ~loc:Diag.Program
-             "arrivals length %d differs from instance count %d"
-             (Bytes.length arrivals) n)
-      else None
-    in
-    check_gen t ~n ~n_codes:(Bytes.length arrivals)
-      ~id_at:(fun j -> Array.get ids j)
-      ~code_at:(fun j -> Char.code (Bytes.get arrivals j))
-      ~len_diag
-
-  let check_batch t (b : Batch.t) =
-    let n = Batch.length b in
-    let ids = b.Batch.ids and arrs = b.Batch.arrs in
-    check_gen t ~n ~n_codes:n
-      ~id_at:(fun j -> Array.get ids j)
-      ~code_at:(fun j -> Array.get arrs j)
-      ~len_diag:None
 end

@@ -48,20 +48,21 @@ val check_parts :
     containers are inconsistent ([T201]/[T202]) the per-instance walk is
     skipped. *)
 
-(** Chunk-wise linting for online sessions.
+(** Batch-wise linting for online sessions.
 
-    Applies the same [T2xx] checks as {!check_parts}, but one instance
-    chunk at a time against a path table that grows between chunks (the
-    streaming decode protocol extends the table, then delivers the
-    instances that reference the new paths).  The only inter-chunk state
-    is the previous instance's path facts, so chunk boundaries are
-    invisible: on a clean trace, the concatenation of every
-    {!Incremental.check_chunk} result plus {!Incremental.flush_paths} equals
-    the {!check_parts} diagnostics for the whole trace (program
-    diagnostics aside, which {!Incremental.create} reports once).
+    Applies the same [T2xx] checks as {!check_parts}, but one decoded
+    {!Batch.t} at a time against a path table that grows between
+    batches (the streaming decode protocol extends the table, then
+    delivers the instances that reference the new paths).  The only
+    inter-batch state is the previous instance's path facts, so batch
+    boundaries are invisible: on a clean trace, the concatenation of
+    every {!Incremental.check_batch} result plus
+    {!Incremental.flush_paths} equals the {!check_parts} diagnostics for
+    the whole trace (program diagnostics aside, which
+    {!Incremental.create} reports once).
 
-    A chunk that produces any error is {e not committed}: the linter's
-    seam state is left untouched, so a caller can reject the chunk
+    A batch that produces any error is {e not committed}: the linter's
+    seam state is left untouched, so a caller can reject the batch
     before mutating its own prediction state and remain consistent.
     (Path-structure findings are committed regardless — they belong to
     the table, which has already grown.) *)
@@ -77,16 +78,10 @@ module Incremental : sig
   (** Program-level warnings from the structural gate (empty or
       warnings only — errors surface through [create]). *)
 
-  val check_chunk : t -> ids:int array -> arrivals:Bytes.t -> Diag.t list
-  (** Lint newly declared paths, the chunk's containers, and every
-      inter-instance hand-off including the seam from the previous
-      chunk.  Commits the seam state only when no error was found. *)
-
   val check_batch : t -> Batch.t -> Diag.t list
-  (** {!check_chunk} over a decoded {!Batch.t} — same checks, same
-      diagnostics, same commit protocol, reading the widened int arrival
-      codes instead of packed bytes.  A batch and the chunk it decodes
-      produce identical results. *)
+  (** Lint newly declared paths, the batch's ids and arrival codes, and
+      every inter-instance hand-off including the seam from the previous
+      batch.  Commits the seam state only when no error was found. *)
 
   val flush_paths : t -> Diag.t list
   (** Lint paths declared since the last call without consuming any

@@ -459,80 +459,132 @@ module Stream = struct
 
   (* ---------------- Reader ---------------- *)
 
-  type chunk = { ids : int array; arrivals : Bytes.t }
+  (* One frame parser, fed three ways.  Every reader is a window of
+     bytes, live in [r_head, r_tail) of a bigstring, and one state
+     machine ([step]) that checks the magic, then each frame's header,
+     bounds and CRC, then dispatches on its kind.  The feeds differ only
+     in how the window gets its bytes:
+     - mapped: the window is the whole input (a mapping or a wrapped
+       buffer), so instance frames decode straight out of it;
+     - pull: [available] refills the window from a blocking input;
+     - push: [Decoder.feed] appends to it, and a frame that has not fully
+       arrived is reported as [B_need_more].
+     A feed is at end of input ([r_eof]) when no byte will ever follow
+     [r_tail]; only then does a short window become a truncation
+     error. *)
 
-  type input = {
-    in_read : Bytes.t -> int -> int -> int;
-    in_close : unit -> unit;
-  }
+  type bigstring = Crc32.bigstring
+
+  type feed =
+    | Mapped
+    | Pull of {
+        read : Bytes.t -> int -> int -> int;
+        release : unit -> unit;
+        staging : Bytes.t;
+      }
+    | Push
 
   type reader = {
-    r_input : input;
-    r_program : Cfg.program;
+    r_feed : feed;
+    mutable r_buf : bigstring;
+    mutable r_head : int;
+    mutable r_tail : int;
+    mutable r_eof : bool;
+    mutable r_magic : bool;
+    mutable r_program : Cfg.program option;
     r_table : Path_table.t;
     mutable r_instances : int;
     mutable r_vm_stats : Vm.run_stats option;
     mutable r_error : string option;
-    mutable r_closed : bool;
   }
 
-  let input_of_string s =
-    let pos = ref 0 in
-    {
-      in_read =
-        (fun b off len ->
-           let n = min len (String.length s - !pos) in
-           Bytes.blit_string s !pos b off n;
-           pos := !pos + n;
-           n);
-      in_close = (fun () -> ());
-    }
+  type batch_step =
+    | B_need_more
+    | B_program of Cfg.program
+    | B_batch
+    | B_end of Vm.run_stats
 
-  let input_of_channel ic =
-    {
-      in_read =
-        (fun b off len ->
-           try Stdlib.input ic b off len
-           with Sys_error e -> raise (Parse ("I/O error: " ^ e)));
-      in_close = (fun () -> close_in_noerr ic);
-    }
+  let ba_create n = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n
 
-  let read_exactly inp buf ~len ~what =
-    let off = ref 0 in
-    while !off < len do
-      let n = inp.in_read buf !off (len - !off) in
-      if n = 0 then fail "truncated stream: EOF while reading %s" what;
-      off := !off + n
+  let ba_u8 (b : bigstring) i = Char.code (Bigarray.Array1.unsafe_get b i)
+
+  (* Little-endian i32 straight off the window.  Sign extension is by the
+     xor/subtract identity — [(v lsl 32) asr 32] would overflow the
+     63-bit native int. *)
+  let ba_i32 (b : bigstring) i =
+    let v =
+      ba_u8 b i
+      lor (ba_u8 b (i + 1) lsl 8)
+      lor (ba_u8 b (i + 2) lsl 16)
+      lor (ba_u8 b (i + 3) lsl 24)
+    in
+    (v lxor 0x8000_0000) - 0x8000_0000
+
+  let ba_sub_string (b : bigstring) ~pos ~len =
+    let s = Bytes.create len in
+    for i = 0 to len - 1 do
+      Bytes.unsafe_set s i (Bigarray.Array1.unsafe_get b (pos + i))
+    done;
+    Bytes.unsafe_to_string s
+
+  let ba_blit_string s ~pos (b : bigstring) ~dst ~len =
+    for i = 0 to len - 1 do
+      Bigarray.Array1.unsafe_set b (dst + i) (String.unsafe_get s (pos + i))
     done
 
-  let expect_eof inp =
-    let b = Bytes.create 1 in
-    if inp.in_read b 0 1 <> 0 then fail "trailing garbage after end frame"
+  let create_reader feed buf ~len ~eof =
+    { r_feed = feed; r_buf = buf; r_head = 0; r_tail = len; r_eof = eof;
+      r_magic = false; r_program = None; r_table = Path_table.create ();
+      r_instances = 0; r_vm_stats = None; r_error = None }
 
-  let read_frame inp =
-    let hdr = Bytes.create 5 in
-    read_exactly inp hdr ~len:5 ~what:"frame header";
-    let kind = Bytes.get_uint8 hdr 0 in
-    let len = Int32.to_int (Bytes.get_int32_le hdr 1) in
-    if len < 0 || len > max_frame_payload then
-      fail "implausible frame payload length %d" len;
-    let payload = Bytes.create len in
-    read_exactly inp payload ~len ~what:"frame payload";
-    let tl = Bytes.create 4 in
-    read_exactly inp tl ~len:4 ~what:"frame checksum";
-    let expect = Bytes.get_int32_le tl 0 in
-    let crc = Crc32.update_bytes Crc32.empty hdr ~pos:0 ~len:5 in
-    let crc = Crc32.update_bytes crc payload ~pos:0 ~len in
-    if crc <> expect then fail "frame checksum mismatch (kind %d)" kind;
-    (kind, Bytes.unsafe_to_string payload)
+  (* Room for [n] more bytes after [r_tail]: slide the live bytes to the
+     front, doubling the window when they still do not fit.  Amortized
+     O(1) per byte, and the window never outgrows twice the bytes it has
+     had to hold at once — one frame plus one read-ahead. *)
+  let reserve rd n =
+    let dim = Bigarray.Array1.dim rd.r_buf in
+    if rd.r_tail + n > dim then begin
+      let live = rd.r_tail - rd.r_head in
+      let cap = ref (max 4096 dim) in
+      while live + n > !cap do
+        cap := !cap * 2
+      done;
+      let nb = if !cap = dim then rd.r_buf else ba_create !cap in
+      Bigarray.Array1.blit
+        (Bigarray.Array1.sub rd.r_buf rd.r_head live)
+        (Bigarray.Array1.sub nb 0 live);
+      rd.r_buf <- nb;
+      rd.r_head <- 0;
+      rd.r_tail <- live
+    end
+
+  (* Whether [n] bytes are in the window.  The pull feed refills, one
+     read at a time, until they are or its input ends — so a forged
+     frame length costs only the bytes that really arrive; the other
+     feeds hold whatever they hold. *)
+  let rec available rd n =
+    rd.r_tail - rd.r_head >= n
+    ||
+    match rd.r_feed with
+    | Pull p when not rd.r_eof ->
+      reserve rd (Bytes.length p.staging);
+      let got = p.read p.staging 0 (Bytes.length p.staging) in
+      if got = 0 then rd.r_eof <- true
+      else begin
+        ba_blit_string (Bytes.unsafe_to_string p.staging) ~pos:0 rd.r_buf
+          ~dst:rd.r_tail ~len:got;
+        rd.r_tail <- rd.r_tail + got
+      end;
+      available rd n
+    | _ -> false
+
+  let starved rd what =
+    if rd.r_eof then fail "truncated stream: EOF while reading %s" what;
+    B_need_more
 
   let check_consumed c =
     if c.pos <> String.length c.s then
       fail "frame has %d trailing bytes" (String.length c.s - c.pos)
-
-  (* Frame-payload parsers, shared verbatim between the pull-based
-     [reader] and the push-based [Decoder] so the two accept exactly the
-     same streams and reject with exactly the same messages. *)
 
   let parse_program_payload payload =
     let c = { s = payload; pos = 0 } in
@@ -543,7 +595,8 @@ module Stream = struct
      | Error e -> fail "invalid program: %s" e);
     program
 
-  let parse_paths_payload c ~table ~n_blocks =
+  let parse_paths_payload payload ~table ~n_blocks =
+    let c = { s = payload; pos = 0 } in
     let count = get_i32 c in
     if count < 0 || count > remaining c / 30 then
       fail "implausible path count %d" count;
@@ -552,29 +605,8 @@ module Stream = struct
     done;
     check_consumed c
 
-  let parse_instances_payload c ~table =
-    let n = get_i32 c in
-    if n < 0 || n > remaining c / 5 then fail "implausible instance count %d" n;
-    let np = Path_table.size table in
-    let ids =
-      Array.init n (fun _ ->
-          let id = get_i32 c in
-          if id < 0 || id >= np then
-            fail "instance path id %d out of range (%d paths)" id np;
-          id)
-    in
-    need c n;
-    let arrivals = Bytes.create n in
-    Bytes.blit_string c.s c.pos arrivals 0 n;
-    c.pos <- c.pos + n;
-    Bytes.iter
-      (fun ch ->
-         if Char.code ch > 2 then fail "invalid arrival code %d" (Char.code ch))
-      arrivals;
-    check_consumed c;
-    (ids, arrivals)
-
-  let parse_end_payload c ~instances ~paths =
+  let parse_end_payload payload ~instances ~paths =
+    let c = { s = payload; pos = 0 } in
     let stats = get_stats c in
     let total_instances = get_i64 c in
     let total_paths = get_i32 c in
@@ -586,33 +618,166 @@ module Stream = struct
       fail "end frame declares %d paths, stream carried %d" total_paths paths;
     stats
 
-  let open_input inp =
-    try
-      let m = Bytes.create (String.length magic) in
-      read_exactly inp m ~len:(String.length magic) ~what:"magic";
-      let ms = Bytes.to_string m in
-      if ms <> magic then
-        if ms = legacy_magic then
-          fail "HOTPATH2 blob, not a stream (use Serialize.of_string/load)"
-        else fail "bad magic %S" ms;
-      let kind, payload = read_frame inp in
-      if kind <> k_program then fail "expected program frame, got kind %d" kind;
-      let program = parse_program_payload payload in
-      Ok
-        { r_input = inp; r_program = program; r_table = Path_table.create ();
-          r_instances = 0; r_vm_stats = None; r_error = None; r_closed = false }
-    with Parse msg ->
-      inp.in_close ();
-      Error msg
+  (* The hot path: an instance frame's count, ids and arrival bytes are
+     validated and widened straight from the window into the caller's
+     batch — no payload string, no per-frame allocation.  The checks and
+     their messages are those of the cursor parsers: a payload too short
+     for its count field fails like [get_i32] at offset 0. *)
+  let decode_instances (buf : bigstring) ~off ~len ~table (batch : Batch.t) =
+    if len < 4 then fail "truncated input at offset 0 (need 4 bytes)";
+    let n = ba_i32 buf off in
+    if n < 0 || n > (len - 4) / 5 then fail "implausible instance count %d" n;
+    let np = Path_table.size table in
+    Batch.ensure batch n;
+    let ids = batch.Batch.ids and arrs = batch.Batch.arrs in
+    let idoff = off + 4 in
+    for j = 0 to n - 1 do
+      let id = ba_i32 buf (idoff + (4 * j)) in
+      if id < 0 || id >= np then
+        fail "instance path id %d out of range (%d paths)" id np;
+      Array.unsafe_set ids j id
+    done;
+    let aoff = idoff + (4 * n) in
+    for j = 0 to n - 1 do
+      let a = ba_u8 buf (aoff + j) in
+      if a > 2 then fail "invalid arrival code %d" a;
+      Array.unsafe_set arrs j a
+    done;
+    if len <> 4 + (5 * n) then
+      fail "frame has %d trailing bytes" (len - (4 + (5 * n)));
+    Batch.set_length batch n
 
-  let open_string s = open_input (input_of_string s)
+  (* The frame state machine.  Its recursive calls (past the magic, past
+     each paths frame) are all tail calls and no [try] encloses them:
+     a stream padded with millions of valid, empty paths frames must not
+     grow the stack.  [advance] wraps the single entry. *)
+  let rec step rd batch =
+    match rd.r_vm_stats with
+    | Some stats ->
+      if available rd 1 then fail "trailing garbage after end frame";
+      B_end stats
+    | None ->
+      if not rd.r_magic then begin
+        let mlen = String.length magic in
+        if not (available rd mlen) then starved rd "magic"
+        else begin
+          let m = ba_sub_string rd.r_buf ~pos:rd.r_head ~len:mlen in
+          if m <> magic then
+            if m = legacy_magic then
+              fail "HOTPATH2 blob, not a stream (use Serialize.of_string/load)"
+            else fail "bad magic %S" m;
+          rd.r_head <- rd.r_head + mlen;
+          rd.r_magic <- true;
+          step rd batch
+        end
+      end
+      else if not (available rd 5) then starved rd "frame header"
+      else begin
+        let kind = ba_u8 rd.r_buf rd.r_head in
+        let len = ba_i32 rd.r_buf (rd.r_head + 1) in
+        if len < 0 || len > max_frame_payload then
+          fail "implausible frame payload length %d" len;
+        if not (available rd (5 + len)) then starved rd "frame payload"
+        else if not (available rd (5 + len + 4)) then
+          starved rd "frame checksum"
+        else begin
+          (* A refill may have moved the window: re-read [r_head]. *)
+          let buf = rd.r_buf and p = rd.r_head in
+          let crc =
+            Crc32.update_bigstring Crc32.empty buf ~pos:p ~len:(5 + len)
+          in
+          if crc <> Int32.of_int (ba_i32 buf (p + 5 + len)) then
+            fail "frame checksum mismatch (kind %d)" kind;
+          let off = p + 5 in
+          rd.r_head <- off + len + 4;
+          let payload () = ba_sub_string buf ~pos:off ~len in
+          match rd.r_program with
+          | None ->
+            if kind <> k_program then
+              fail "expected program frame, got kind %d" kind;
+            let program = parse_program_payload (payload ()) in
+            rd.r_program <- Some program;
+            B_program program
+          | Some program ->
+            if kind = k_paths then begin
+              parse_paths_payload (payload ()) ~table:rd.r_table
+                ~n_blocks:(Array.length program.Cfg.blocks);
+              step rd batch
+            end
+            else if kind = k_instances then begin
+              decode_instances buf ~off ~len ~table:rd.r_table batch;
+              rd.r_instances <- rd.r_instances + Batch.length batch;
+              B_batch
+            end
+            else if kind = k_end then begin
+              let stats =
+                parse_end_payload (payload ()) ~instances:rd.r_instances
+                  ~paths:(Path_table.size rd.r_table)
+              in
+              if available rd 1 then fail "trailing garbage after end frame";
+              rd.r_vm_stats <- Some stats;
+              B_end stats
+            end
+            else fail "unknown frame kind %d" kind
+        end
+      end
+
+  let advance rd batch =
+    match rd.r_error with
+    | Some e -> Error e
+    | None -> (
+        try Ok (step rd batch)
+        with Parse msg ->
+          rd.r_error <- Some msg;
+          Error msg)
+
+  let close rd =
+    rd.r_eof <- true;
+    match rd.r_feed with Pull p -> p.release () | Mapped | Push -> ()
+
+  (* Bounded feeds (pull, mapped) open through the program frame: with
+     the whole input behind them, the first step is the program or an
+     error, never [B_need_more]. *)
+  let open_reader rd =
+    match advance rd (Batch.create ~capacity:1 ()) with
+    | Ok _ -> Ok rd
+    | Error _ as e ->
+      close rd;
+      e
+
+  let pull_chunk = 1 lsl 16
+
+  let open_pull ~read ~release =
+    open_reader
+      (create_reader
+         (Pull { read; release; staging = Bytes.create pull_chunk })
+         (ba_create pull_chunk) ~len:0 ~eof:false)
 
   let open_file ~path =
     match open_in_bin path with
     | exception Sys_error e -> Error e
-    | ic -> open_input (input_of_channel ic)
+    | ic ->
+      open_pull
+        ~read:(fun b off len ->
+          try Stdlib.input ic b off len
+          with Sys_error e -> raise (Parse ("I/O error: " ^ e)))
+        ~release:(fun () -> close_in_noerr ic)
 
-  let program rd = rd.r_program
+  let rec next_batch rd batch =
+    match advance rd batch with
+    | Ok B_batch -> Ok true
+    | Ok (B_end _) -> Ok false
+    | Ok (B_program _) -> next_batch rd batch
+    | Ok B_need_more ->
+      invalid_arg
+        "Serialize.Stream.next_batch: push decoder starved (use \
+         Decoder.next_batch)"
+    | Error _ as e -> e
+
+  let program rd =
+    match rd.r_program with
+    | Some p -> p
+    | None -> invalid_arg "Serialize.Stream.program: no program frame yet"
 
   let table rd = rd.r_table
 
@@ -620,564 +785,129 @@ module Stream = struct
 
   let vm_stats rd = rd.r_vm_stats
 
-  let close rd =
-    if not rd.r_closed then begin
-      rd.r_closed <- true;
-      rd.r_input.in_close ()
-    end
-
-  (* The frame loop is a local [let rec] whose recursive call sits
-     {e outside} any [try]: skipping a paths frame must be a tail call, or
-     a stream padded with millions of (valid, empty) paths frames would
-     overflow the stack — an uncaught [Stack_overflow] from a parser whose
-     contract is "Error, never crash".  The single [try] wraps only the
-     initial entry into the loop. *)
-  let next rd =
-    match rd.r_error with
-    | Some e -> Error e
-    | None ->
-      if rd.r_vm_stats <> None then Ok None
-      else begin
-        let rec loop () =
-          let kind, payload = read_frame rd.r_input in
-          let c = { s = payload; pos = 0 } in
-          if kind = k_paths then begin
-            parse_paths_payload c ~table:rd.r_table
-              ~n_blocks:(Array.length rd.r_program.Cfg.blocks);
-            loop ()
-          end
-          else if kind = k_instances then begin
-            let ids, arrivals = parse_instances_payload c ~table:rd.r_table in
-            rd.r_instances <- rd.r_instances + Array.length ids;
-            Ok (Some { ids; arrivals })
-          end
-          else if kind = k_end then begin
-            let stats =
-              parse_end_payload c ~instances:rd.r_instances
-                ~paths:(Path_table.size rd.r_table)
-            in
-            expect_eof rd.r_input;
-            rd.r_vm_stats <- Some stats;
-            Ok None
-          end
-          else fail "unknown frame kind %d" kind
-        in
-        try loop ()
-        with Parse msg ->
-          rd.r_error <- Some msg;
-          Error msg
-      end
+  (* Pull over an in-memory stream: the window holds a frame at a time,
+     never a second copy of the whole input. *)
+  let open_pull_string s =
+    let pos = ref 0 in
+    let read b off len =
+      let n = min len (String.length s - !pos) in
+      Bytes.blit_string s !pos b off n;
+      pos := !pos + n;
+      n
+    in
+    open_pull ~read ~release:ignore
 
   let of_recorder ?chunk_instances r =
-    match open_string (to_string ?chunk_instances r) with
+    match open_pull_string (to_string ?chunk_instances r) with
     | Ok rd -> rd
     | Error e -> invalid_arg ("Serialize.Stream.of_recorder: " ^ e)
 
   let to_recorder rd =
     let ids = Vec.create () in
     let arrivals = Buffer.create 4096 in
+    let batch = Batch.create () in
     let rec drain () =
-      match next rd with
+      match next_batch rd batch with
       | Error e -> Error e
-      | Ok (Some c) ->
-        Array.iter (Vec.push ids) c.ids;
-        Buffer.add_bytes arrivals c.arrivals;
+      | Ok true ->
+        for j = 0 to Batch.length batch - 1 do
+          Vec.push ids batch.Batch.ids.(j);
+          Buffer.add_uint8 arrivals batch.Batch.arrs.(j)
+        done;
         drain ()
-      | Ok None -> (
-          match rd.r_vm_stats with
-          | None -> Error "stream ended without statistics"
-          | Some vm_stats -> (
-              match
-                Recorder.of_parts ~program:rd.r_program ~table:rd.r_table
-                  ~instances:(Vec.to_array ids)
-                  ~arrivals:(Buffer.to_bytes arrivals) ~vm_stats
-              with
-              | Ok r -> Ok r
-              | Error e -> Error ("invalid recording: " ^ e)))
+      | Ok false -> (
+          match
+            Recorder.of_parts ~program:(program rd) ~table:rd.r_table
+              ~instances:(Vec.to_array ids) ~arrivals:(Buffer.to_bytes arrivals)
+              ~vm_stats:(Option.get rd.r_vm_stats)
+          with
+          | Ok r -> Ok r
+          | Error e -> Error ("invalid recording: " ^ e))
     in
     let result = drain () in
     close rd;
     result
 
-  (* ---------------- Push-based incremental decoder ---------------- *)
-
   module Decoder = struct
-    type step =
-      | Need_more
-      | Program of Cfg.program
-      | Chunk of chunk
-      | End of Vm.run_stats
+    type t = reader
 
-    type t = {
-      mutable d_buf : Bytes.t;  (* live bytes are [d_head, d_tail) *)
-      mutable d_head : int;
-      mutable d_tail : int;
-      mutable d_magic : bool;
-      mutable d_program : Cfg.program option;
-      d_table : Path_table.t;
-      mutable d_instances : int;
-      mutable d_stats : Vm.run_stats option;
-      mutable d_error : string option;
-    }
-
-    let create () =
-      { d_buf = Bytes.create 4096; d_head = 0; d_tail = 0; d_magic = false;
-        d_program = None; d_table = Path_table.create (); d_instances = 0;
-        d_stats = None; d_error = None }
-
-    let buffered d = d.d_tail - d.d_head
-
-    let program d = d.d_program
-
-    let table d = d.d_table
-
-    let instances_read d = d.d_instances
-
-    let finished d = d.d_stats <> None
-
-    let error d = d.d_error
-
-    (* Amortized O(1) append: compact the live region to the front when
-       the dead prefix dominates, double the buffer when it is full.
-       [next] never copies payload bytes except to cut the one payload
-       string a complete frame needs. *)
-    let feed d s ~pos ~len =
-      if pos < 0 || len < 0 || pos > String.length s - len then
-        invalid_arg "Serialize.Stream.Decoder.feed: bad substring";
-      if d.d_error = None then begin
-        let live = buffered d in
-        if d.d_tail + len > Bytes.length d.d_buf then begin
-          let cap = ref (max 4096 (Bytes.length d.d_buf)) in
-          while live + len > !cap do
-            cap := !cap * 2
-          done;
-          let nb = if !cap = Bytes.length d.d_buf then d.d_buf else Bytes.create !cap in
-          Bytes.blit d.d_buf d.d_head nb 0 live;
-          d.d_buf <- nb;
-          d.d_head <- 0;
-          d.d_tail <- live
-        end;
-        Bytes.blit_string s pos d.d_buf d.d_tail len;
-        d.d_tail <- d.d_tail + len
-      end
-
-    (* A complete, CRC-valid frame at the head of the buffer
-       ([Some (kind, payload offset, payload length)]), or [None].
-       Raises [Parse] on an implausible declared length or a checksum
-       mismatch — both detectable before the payload is complete or
-       copied.  Does not consume: {!drop_frame} advances past it. *)
-    let peek_frame d =
-      let avail = buffered d in
-      if avail < 5 then None
-      else begin
-        let kind = Bytes.get_uint8 d.d_buf d.d_head in
-        let len = Int32.to_int (Bytes.get_int32_le d.d_buf (d.d_head + 1)) in
-        if len < 0 || len > max_frame_payload then
-          fail "implausible frame payload length %d" len;
-        if avail < 5 + len + 4 then None
-        else begin
-          let crc = Crc32.update_bytes Crc32.empty d.d_buf ~pos:d.d_head ~len:5 in
-          let crc = Crc32.update_bytes crc d.d_buf ~pos:(d.d_head + 5) ~len in
-          let expect = Bytes.get_int32_le d.d_buf (d.d_head + 5 + len) in
-          if crc <> expect then fail "frame checksum mismatch (kind %d)" kind;
-          Some (kind, d.d_head + 5, len)
-        end
-      end
-
-    let drop_frame d ~off ~len =
-      d.d_head <- off + len + 4;
-      if d.d_head = d.d_tail then begin
-        d.d_head <- 0;
-        d.d_tail <- 0
-      end
-
-    let take_frame d =
-      match peek_frame d with
-      | None -> None
-      | Some (kind, off, len) ->
-        let payload = Bytes.sub_string d.d_buf off len in
-        drop_frame d ~off ~len;
-        Some (kind, payload)
-
-    (* Tail-recursive for the same reason [reader.next]'s loop is: a
-       stream padded with empty paths frames must not grow the stack. *)
-    let rec step d =
-      match d.d_stats with
-      | Some stats ->
-        if buffered d > 0 then fail "trailing garbage after end frame";
-        End stats
-      | None ->
-        if not d.d_magic then begin
-          if buffered d < String.length magic then Need_more
-          else begin
-            let m = Bytes.sub_string d.d_buf d.d_head (String.length magic) in
-            if m <> magic then
-              if m = legacy_magic then
-                fail "HOTPATH2 blob, not a stream (use Serialize.of_string/load)"
-              else fail "bad magic %S" m;
-            d.d_head <- d.d_head + String.length magic;
-            d.d_magic <- true;
-            step d
-          end
-        end
-        else
-          match take_frame d with
-          | None -> Need_more
-          | Some (kind, payload) -> (
-              let c = { s = payload; pos = 0 } in
-              match d.d_program with
-              | None ->
-                if kind <> k_program then
-                  fail "expected program frame, got kind %d" kind;
-                let program = parse_program_payload payload in
-                d.d_program <- Some program;
-                Program program
-              | Some program ->
-                if kind = k_paths then begin
-                  parse_paths_payload c ~table:d.d_table
-                    ~n_blocks:(Array.length program.Cfg.blocks);
-                  step d
-                end
-                else if kind = k_instances then begin
-                  let ids, arrivals = parse_instances_payload c ~table:d.d_table in
-                  d.d_instances <- d.d_instances + Array.length ids;
-                  Chunk { ids; arrivals }
-                end
-                else if kind = k_end then begin
-                  let stats =
-                    parse_end_payload c ~instances:d.d_instances
-                      ~paths:(Path_table.size d.d_table)
-                  in
-                  if buffered d > 0 then
-                    fail "trailing garbage after end frame";
-                  d.d_stats <- Some stats;
-                  End stats
-                end
-                else fail "unknown frame kind %d" kind)
-
-    let next d =
-      match d.d_error with
-      | Some e -> Error e
-      | None -> (
-          try Ok (step d)
-          with Parse msg ->
-            d.d_error <- Some msg;
-            Error msg)
-
-    (* ---- Batched decoding ---- *)
-
-    type batch_step =
+    type nonrec batch_step = batch_step =
       | B_need_more
       | B_program of Cfg.program
       | B_batch
       | B_end of Vm.run_stats
 
-    (* An instance frame validated and decoded straight out of a buffer
-       region into [batch]: ids range-checked against the table, arrival
-       bytes widened to int codes — no payload string, no per-chunk
-       ids/arrivals allocation.  Checks mirror [parse_instances_payload]
-       (same messages, same order) so batch and chunk decoding accept
-       exactly the same frames. *)
-    let decode_instances_bytes buf ~off ~len ~table (batch : Batch.t) =
-      if len < 4 then fail "truncated input at offset 0 (need 4 bytes)";
-      let n = Int32.to_int (Bytes.get_int32_le buf off) in
-      if n < 0 || n > (len - 4) / 5 then fail "implausible instance count %d" n;
-      let np = Path_table.size table in
-      Batch.ensure batch n;
-      let ids = batch.Batch.ids and arrs = batch.Batch.arrs in
-      let idoff = off + 4 in
-      for j = 0 to n - 1 do
-        let id = Int32.to_int (Bytes.get_int32_le buf (idoff + (4 * j))) in
-        if id < 0 || id >= np then
-          fail "instance path id %d out of range (%d paths)" id np;
-        Array.unsafe_set ids j id
-      done;
-      let aoff = idoff + (4 * n) in
-      for j = 0 to n - 1 do
-        let a = Char.code (Bytes.unsafe_get buf (aoff + j)) in
-        if a > 2 then fail "invalid arrival code %d" a;
-        Array.unsafe_set arrs j a
-      done;
-      if len <> 4 + (5 * n) then
-        fail "frame has %d trailing bytes" (len - (4 + (5 * n)));
-      Batch.set_length batch n
+    let create () = create_reader Push (ba_create 4096) ~len:0 ~eof:false
 
-    (* [step], with instance frames decoded from the ring buffer into the
-       caller's batch.  Cold frames (program/paths/end) still go through
-       the shared payload parsers.  Tail-recursive over paths frames like
-       [step]. *)
-    let rec step_batch d (batch : Batch.t) =
-      match d.d_stats with
-      | Some stats ->
-        if buffered d > 0 then fail "trailing garbage after end frame";
-        B_end stats
-      | None ->
-        if not d.d_magic then begin
-          if buffered d < String.length magic then B_need_more
-          else begin
-            let m = Bytes.sub_string d.d_buf d.d_head (String.length magic) in
-            if m <> magic then
-              if m = legacy_magic then
-                fail "HOTPATH2 blob, not a stream (use Serialize.of_string/load)"
-              else fail "bad magic %S" m;
-            d.d_head <- d.d_head + String.length magic;
-            d.d_magic <- true;
-            step_batch d batch
-          end
-        end
-        else
-          match peek_frame d with
-          | None -> B_need_more
-          | Some (kind, off, len) -> (
-              match d.d_program with
-              | None ->
-                if kind <> k_program then
-                  fail "expected program frame, got kind %d" kind;
-                let payload = Bytes.sub_string d.d_buf off len in
-                drop_frame d ~off ~len;
-                let program = parse_program_payload payload in
-                d.d_program <- Some program;
-                B_program program
-              | Some program ->
-                if kind = k_paths then begin
-                  let payload = Bytes.sub_string d.d_buf off len in
-                  drop_frame d ~off ~len;
-                  let c = { s = payload; pos = 0 } in
-                  parse_paths_payload c ~table:d.d_table
-                    ~n_blocks:(Array.length program.Cfg.blocks);
-                  step_batch d batch
-                end
-                else if kind = k_instances then begin
-                  decode_instances_bytes d.d_buf ~off ~len ~table:d.d_table
-                    batch;
-                  drop_frame d ~off ~len;
-                  d.d_instances <- d.d_instances + Batch.length batch;
-                  B_batch
-                end
-                else if kind = k_end then begin
-                  let payload = Bytes.sub_string d.d_buf off len in
-                  drop_frame d ~off ~len;
-                  let c = { s = payload; pos = 0 } in
-                  let stats =
-                    parse_end_payload c ~instances:d.d_instances
-                      ~paths:(Path_table.size d.d_table)
-                  in
-                  if buffered d > 0 then
-                    fail "trailing garbage after end frame";
-                  d.d_stats <- Some stats;
-                  B_end stats
-                end
-                else fail "unknown frame kind %d" kind)
+    let buffered d = d.r_tail - d.r_head
 
-    let next_batch d batch =
-      match d.d_error with
-      | Some e -> Error e
-      | None -> (
-          try Ok (step_batch d batch)
-          with Parse msg ->
-            d.d_error <- Some msg;
-            Error msg)
+    let feed d s ~pos ~len =
+      if pos < 0 || len < 0 || pos > String.length s - len then
+        invalid_arg "Serialize.Stream.Decoder.feed: bad substring";
+      (match d.r_feed with
+       | Push -> ()
+       | Mapped | Pull _ ->
+         invalid_arg "Serialize.Stream.Decoder.feed: not a push decoder");
+      if d.r_error = None && not d.r_eof then begin
+        reserve d len;
+        ba_blit_string s ~pos d.r_buf ~dst:d.r_tail ~len;
+        d.r_tail <- d.r_tail + len
+      end
+
+    let next_batch = advance
   end
 
-  (* ---------------- Mapped (zero-copy) reader ---------------- *)
-
   module Mapped = struct
-    type bigstring = Crc32.bigstring
+    type nonrec bigstring = bigstring
 
-    let ba_u8 (b : bigstring) i = Char.code (Bigarray.Array1.unsafe_get b i)
-
-    (* Little-endian i32 straight off the map.  Sign extension is by the
-       xor/subtract identity — [(v lsl 32) asr 32] would overflow the
-       63-bit native int. *)
-    let ba_i32 (b : bigstring) i =
-      let v =
-        ba_u8 b i
-        lor (ba_u8 b (i + 1) lsl 8)
-        lor (ba_u8 b (i + 2) lsl 16)
-        lor (ba_u8 b (i + 3) lsl 24)
-      in
-      (v lxor 0x8000_0000) - 0x8000_0000
-
-    let ba_sub_string (b : bigstring) ~pos ~len =
-      String.init len (fun i -> Bigarray.Array1.unsafe_get b (pos + i))
-
-    type t = {
-      m_buf : bigstring;
-      mutable m_pos : int;
-      m_program : Cfg.program;
-      m_table : Path_table.t;
-      mutable m_instances : int;
-      mutable m_vm_stats : Vm.run_stats option;
-      mutable m_error : string option;
-    }
-
-    let program m = m.m_program
-
-    let table m = m.m_table
-
-    let instances_read m = m.m_instances
-
-    let vm_stats m = m.m_vm_stats
-
-    let error m = m.m_error
-
-    (* Validate the frame at [p] against the mapped region — header and
-       payload bounds, CRC-32 over the raw mapped bytes — and return
-       [(kind, payload offset, payload length, next frame offset)]
-       without copying anything. *)
-    let frame_at (buf : bigstring) p =
-      let dim = Bigarray.Array1.dim buf in
-      if dim - p < 5 then
-        fail "truncated stream: EOF while reading frame header";
-      let kind = ba_u8 buf p in
-      let len = ba_i32 buf (p + 1) in
-      if len < 0 || len > max_frame_payload then
-        fail "implausible frame payload length %d" len;
-      if dim - (p + 5) < len then
-        fail "truncated stream: EOF while reading frame payload";
-      if dim - (p + 5 + len) < 4 then
-        fail "truncated stream: EOF while reading frame checksum";
-      let crc = Crc32.update_bigstring Crc32.empty buf ~pos:p ~len:(5 + len) in
-      let expect = Int32.of_int (ba_i32 buf (p + 5 + len)) in
-      if crc <> expect then fail "frame checksum mismatch (kind %d)" kind;
-      (kind, p + 5, len, p + 5 + len + 4)
+    type t = reader
 
     let of_bigstring buf =
-      try
-        let mlen = String.length magic in
-        if Bigarray.Array1.dim buf < mlen then
-          fail "truncated stream: EOF while reading magic";
-        let ms = ba_sub_string buf ~pos:0 ~len:mlen in
-        if ms <> magic then
-          if ms = legacy_magic then
-            fail "HOTPATH2 blob, not a stream (use Serialize.of_string/load)"
-          else fail "bad magic %S" ms;
-        let kind, off, len, next = frame_at buf mlen in
-        if kind <> k_program then
-          fail "expected program frame, got kind %d" kind;
-        let program = parse_program_payload (ba_sub_string buf ~pos:off ~len) in
-        Ok
-          { m_buf = buf; m_pos = next; m_program = program;
-            m_table = Path_table.create (); m_instances = 0;
-            m_vm_stats = None; m_error = None }
-      with Parse msg -> Error msg
+      open_reader
+        (create_reader Mapped buf ~len:(Bigarray.Array1.dim buf) ~eof:true)
 
     let of_string s =
       let n = String.length s in
-      let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
-      for i = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set b i (String.unsafe_get s i)
-      done;
+      let b = ba_create n in
+      ba_blit_string s ~pos:0 b ~dst:0 ~len:n;
       of_bigstring b
 
+    (* The kind is checked on the path, before any open: opening a FIFO
+       would block until a writer appears, and closing it again could
+       leave that writer without a reader. *)
     let map_file ~path =
-      match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-      | exception Unix.Unix_error (e, _, _) ->
-        Error (path ^ ": " ^ Unix.error_message e)
-      | fd -> (
-          let close () = try Unix.close fd with Unix.Unix_error _ -> () in
-          match (Unix.fstat fd).Unix.st_kind with
-          | exception Unix.Unix_error (e, _, _) ->
-            close ();
-            Error (path ^ ": " ^ Unix.error_message e)
-          | Unix.S_REG -> (
-              (* mmap(2) rejects empty regions; an empty file is just a
-                 truncated stream. *)
-              if (Unix.fstat fd).Unix.st_size = 0 then begin
-                close ();
-                of_bigstring
-                  (Bigarray.Array1.create Bigarray.char Bigarray.c_layout 0)
-              end
-              else
+      let unix_error e = Error (path ^ ": " ^ Unix.error_message e) in
+      match Unix.stat path with
+      | exception Unix.Unix_error (e, _, _) -> unix_error e
+      | { Unix.st_kind = Unix.S_REG; st_size = 0; _ } ->
+        (* mmap(2) rejects empty regions; an empty file is just a
+           truncated stream. *)
+        of_bigstring (ba_create 0)
+      | { Unix.st_kind = Unix.S_REG; _ } -> (
+          match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+          | exception Unix.Unix_error (e, _, _) -> unix_error e
+          | fd -> (
+              (* The mapping outlives the descriptor; the bigarray
+                 finalizer unmaps at GC. *)
+              let mapped =
                 match
                   Unix.map_file fd Bigarray.char Bigarray.c_layout false
                     [| -1 |]
                 with
+                | ga -> Ok (Bigarray.array1_of_genarray ga)
                 | exception Unix.Unix_error (e, _, _) ->
-                  close ();
                   Error (path ^ ": mmap failed: " ^ Unix.error_message e)
-                | exception Sys_error e ->
-                  close ();
-                  Error (path ^ ": mmap failed: " ^ e)
-                | ga ->
-                  (* The mapping outlives the descriptor; the bigarray
-                     finalizer unmaps at GC. *)
-                  close ();
-                  of_bigstring (Bigarray.array1_of_genarray ga))
-          | _ ->
-            close ();
-            Error
-              (path
-             ^ ": not a regular file — mmap ingest needs one (use open_file)"))
-
-    (* The zero-copy hot path: an instance frame's count, ids, and
-       arrival bytes are validated and widened directly from the mapped
-       region into the caller's batch.  Checks mirror
-       [parse_instances_payload]. *)
-    let decode_instances m ~off ~len (batch : Batch.t) =
-      let buf = m.m_buf in
-      if len < 4 then fail "truncated input at offset 0 (need 4 bytes)";
-      let n = ba_i32 buf off in
-      if n < 0 || n > (len - 4) / 5 then fail "implausible instance count %d" n;
-      let np = Path_table.size m.m_table in
-      Batch.ensure batch n;
-      let ids = batch.Batch.ids and arrs = batch.Batch.arrs in
-      let idoff = off + 4 in
-      for j = 0 to n - 1 do
-        let id = ba_i32 buf (idoff + (4 * j)) in
-        if id < 0 || id >= np then
-          fail "instance path id %d out of range (%d paths)" id np;
-        Array.unsafe_set ids j id
-      done;
-      let aoff = idoff + (4 * n) in
-      for j = 0 to n - 1 do
-        let a = ba_u8 buf (aoff + j) in
-        if a > 2 then fail "invalid arrival code %d" a;
-        Array.unsafe_set arrs j a
-      done;
-      if len <> 4 + (5 * n) then
-        fail "frame has %d trailing bytes" (len - (4 + (5 * n)));
-      Batch.set_length batch n
-
-    (* Tail-recursive over paths frames, like [reader.next]. *)
-    let next_batch m batch =
-      match m.m_error with
-      | Some e -> Error e
-      | None ->
-        if m.m_vm_stats <> None then Ok false
-        else begin
-          let rec loop () =
-            let kind, off, len, next = frame_at m.m_buf m.m_pos in
-            m.m_pos <- next;
-            if kind = k_paths then begin
-              let c = { s = ba_sub_string m.m_buf ~pos:off ~len; pos = 0 } in
-              parse_paths_payload c ~table:m.m_table
-                ~n_blocks:(Array.length m.m_program.Cfg.blocks);
-              loop ()
-            end
-            else if kind = k_instances then begin
-              decode_instances m ~off ~len batch;
-              m.m_instances <- m.m_instances + Batch.length batch;
-              Ok true
-            end
-            else if kind = k_end then begin
-              let c = { s = ba_sub_string m.m_buf ~pos:off ~len; pos = 0 } in
-              let stats =
-                parse_end_payload c ~instances:m.m_instances
-                  ~paths:(Path_table.size m.m_table)
+                | exception Sys_error e -> Error (path ^ ": mmap failed: " ^ e)
               in
-              if m.m_pos <> Bigarray.Array1.dim m.m_buf then
-                fail "trailing garbage after end frame";
-              m.m_vm_stats <- Some stats;
-              Ok false
-            end
-            else fail "unknown frame kind %d" kind
-          in
-          try loop ()
-          with Parse msg ->
-            m.m_error <- Some msg;
-            Error msg
-        end
+              (try Unix.close fd with Unix.Unix_error _ -> ());
+              match mapped with Ok buf -> of_bigstring buf | Error _ as e -> e))
+      | _ ->
+        Error
+          (path ^ ": not a regular file — mmap ingest needs one (use open_file)")
+
+    let next_batch = next_batch
+
+    let instances_read = instances_read
   end
 end
 
@@ -1189,7 +919,7 @@ let of_string s =
   if String.length s >= String.length Stream.magic
      && String.sub s 0 (String.length Stream.magic) = Stream.magic
   then
-    match Stream.open_string s with
+    match Stream.open_pull_string s with
     | Error _ as e -> e
     | Ok rd -> Stream.to_recorder rd
   else

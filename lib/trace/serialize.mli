@@ -15,8 +15,9 @@
       header, incremental path-table frames, instance/arrival chunks of
       {!Stream.default_chunk_instances} instances, and an end frame with
       the VM statistics and totals).  Both ends are constant-memory: the
-      writer flushes as it goes, the reader holds one frame at a time, so
-      traces far larger than RAM can be recorded and replayed.
+      writer flushes as it goes, and one frame parser reads the stream a
+      frame at a time, fed from a channel, a mapping, or pushed bytes,
+      so traces far larger than RAM can be recorded and replayed.
 
     All integers are little-endian.  Bounded ids and lengths are 32-bit
     and writing raises [Invalid_argument] if a value does not fit (no
@@ -24,10 +25,11 @@
     instruction counts, instance totals, VM statistics) are 64-bit.
     Loading validates structure (via {!Recorder.of_parts} — which since
     the lint hook also runs the full trace linter, [Hotpath_trace.Lint]
-    — or the streaming reader's incremental checks) and fails with a
+    — or the stream parser's frame-by-frame checks) and fails with a
     message rather than crashing on corrupt input — the serializer fuzz
-    suite holds both parsers to that.  For diagnostics instead of a
-    bare error message, lint a file with [Hotpath_trace.Check.file]. *)
+    suite holds both formats, and every HOTPATH3 feed, to that.  For
+    diagnostics instead of a bare error message, lint a file with
+    [Hotpath_trace.Check.file]. *)
 
 module Cfg = Hotpath_cfg.Cfg
 
@@ -76,9 +78,9 @@ val load : path:string -> (Recorder.t, string) result
     - {e 3, end} — exactly one, last: VM statistics plus total instance
       and path counts, cross-checked against what the stream carried.
 
-    A reader never holds more than one frame; a writer never buffers more
-    than one frame.  Any torn write, bit flip, corrupted length field, or
-    truncation surfaces as [Error] at read time — the CRC makes every
+    A reader decodes one frame at a time; a writer never buffers more
+    than one frame.  Any torn write, bit flip, corrupted length field,
+    or truncation surfaces as [Error] at read time — the CRC makes every
     single-byte corruption of a valid stream detectable, which the fuzz
     suite exercises. *)
 module Stream : sig
@@ -148,182 +150,140 @@ module Stream : sig
       flushed chunk (cumulative instances/paths/bytes) and a final
       [record_done]; the trace bytes are unaffected. *)
 
-  (** {1 Reading} *)
+  (** {1 Reading}
 
-  type chunk = {
-    ids : int array;  (** Path ids, trace order. *)
-    arrivals : Bytes.t;  (** One arrival code per id (decode with
-        {!Recorder.arrival_of_code}). *)
-  }
+      One frame parser reads every HOTPATH3 stream.  A {!reader} is a
+      byte window plus one state machine: magic, then each frame's
+      header, bounds and CRC-32, then its kind.  Only the way the window
+      gets its bytes differs between the three feeds:
+
+      - {e pull} ({!open_file}, {!of_recorder}): refilled from a channel,
+        so a regular file, a pipe or a FIFO all work, holding one frame
+        (plus one read-ahead) at a time;
+      - {e mapped} ({!Mapped.map_file}, {!Mapped.of_bigstring},
+        {!Mapped.of_string}): the window is the whole buffer, and instance
+        frames decode straight out of it without a copy;
+      - {e push} ({!Decoder}): the caller appends bytes as they arrive
+        and learns when a frame is still incomplete.
+
+      Instance frames decode into a caller's {!Batch.t}, the only decoded
+      form.  Every feed accepts and rejects exactly the same streams with
+      exactly the same messages; the fuzz suite runs each mutant through
+      all three.  After an [Error] a reader is poisoned and repeats the
+      same error. *)
 
   type reader
 
-  val open_string : string -> (reader, string) result
-  (** Validate the magic and program frame of an in-memory stream. *)
-
   val open_file : path:string -> (reader, string) result
-  (** Same over a file, reading frame-by-frame. *)
+  (** Pull reader over a file, validating the magic and the program
+      frame.  Any readable path works, pipes and FIFOs included. *)
 
   val of_recorder : ?chunk_instances:int -> Recorder.t -> reader
-  (** Reader over an in-memory recording (serialized through the full
-      format), mainly for differential tests and benchmarks. *)
+  (** Pull reader over an in-memory recording (serialized through the
+      full format), mainly for differential tests and benchmarks. *)
 
-  val next : reader -> (chunk option, string) result
-  (** Pull the next instance chunk.  Paths frames are consumed silently,
-      growing {!table}; [Ok None] is returned once the end frame has been
-      validated (totals, statistics, no trailing bytes) and on every call
-      thereafter.  After an [Error] the reader is poisoned and repeats
-      the same error. *)
+  val next_batch : reader -> Batch.t -> (bool, string) result
+  (** Decode frames up to and including the next instance frame into
+      [batch].  Paths frames are consumed on the way, growing {!table}.
+      [Ok true]: the batch holds the frame's instances, valid until the
+      next fill.  [Ok false]: the end frame was validated (totals
+      cross-checked, no trailing bytes), {!vm_stats} is now [Some], and
+      every later call returns [Ok false] again.
+      @raise Invalid_argument on a push decoder that has no complete
+      frame buffered (drive decoders with {!Decoder.next_batch}). *)
 
   val program : reader -> Cfg.program
+  (** @raise Invalid_argument on a push decoder that has not decoded its
+      program frame yet. *)
 
   val table : reader -> Path_table.t
-  (** The path table as declared so far; grows as chunks are pulled.
-      Every id in a returned chunk is already present. *)
+  (** The path table as declared so far; grows as batches are pulled.
+      Every id in a returned batch is already present. *)
 
   val instances_read : reader -> int
-  (** Cumulative instances across the chunks returned so far. *)
+  (** Cumulative instances across the batches returned so far. *)
 
   val vm_stats : reader -> Hotpath_vm.Vm.run_stats option
-  (** [Some] once the end frame has been read (i.e. after {!next}
-      returned [Ok None]). *)
+  (** [Some] once the end frame has been validated. *)
 
   val close : reader -> unit
-  (** Release the underlying channel (idempotent; no-op for string
-      readers). *)
+  (** End the input: release a pull reader's channel, or tell a push
+      decoder that no more bytes will be fed, so that a stream that stops
+      short fails with the same truncation error as on the other feeds.
+      Idempotent. *)
 
   val to_recorder : reader -> (Recorder.t, string) result
   (** Drain the stream into a materialized {!Recorder.t} (validated via
       {!Recorder.of_parts}) and close the reader. *)
 
-  (** {1 Push-based incremental decoding}
+  (** {1 Push feed}
 
-      The {!reader} above pulls bytes through a blocking [input]; a
-      network daemon gets bytes pushed at it in arbitrary slices instead.
-      A {!Decoder.t} accepts those slices via {!Decoder.feed} and yields
-      decoded steps via {!Decoder.next} — same frame validation, same
-      payload parsers, same error messages as the pull reader, so the two
-      accept exactly the same byte streams.  Feeding is O(bytes) amortized
-      regardless of slice granularity (one byte at a time is fine). *)
+      A network daemon gets bytes pushed at it in arbitrary slices.  A
+      decoder is a {!reader} whose window grows by {!Decoder.feed};
+      feeding is O(bytes) amortized at any slice size, one byte at a
+      time included. *)
   module Decoder : sig
-    type step =
-      | Need_more  (** A complete next frame has not arrived yet. *)
-      | Program of Cfg.program
-          (** The stream header and program frame decoded and validated. *)
-      | Chunk of chunk  (** One instances frame. *)
-      | End of Hotpath_vm.Vm.run_stats
-          (** The end frame validated (totals cross-checked); returned
-              again by subsequent calls. *)
-
-    type t
-
-    val create : unit -> t
-
-    val feed : t -> string -> pos:int -> len:int -> unit
-    (** Append [len] bytes of [s] starting at [pos] to the decode buffer.
-        Ignored once the decoder has errored.
-        @raise Invalid_argument if [pos]/[len] do not describe a
-        substring. *)
-
-    val next : t -> (step, string) result
-    (** Decode as far as the buffered bytes allow.  Paths frames are
-        consumed silently (growing {!table}); call repeatedly until
-        [Ok Need_more] (or terminally [End]/[Error]).  After an [Error]
-        the decoder is poisoned and repeats the same error.  Bytes that
-        arrive after the end frame surface as a trailing-garbage error on
-        the call after they are fed. *)
-
-    val program : t -> Cfg.program option
-    (** [Some] once the program frame has decoded. *)
-
-    val table : t -> Path_table.t
-    (** Paths declared so far; every id in a returned {!chunk} is already
-        present. *)
-
-    val instances_read : t -> int
-
-    val buffered : t -> int
-    (** Bytes fed but not yet consumed by a decoded frame. *)
-
-    val finished : t -> bool
-    (** The end frame has been validated. *)
-
-    val error : t -> string option
-
-    (** {2 Batched decoding}
-
-        {!next} cuts one payload string and allocates fresh [ids] and
-        [arrivals] per instance frame.  {!next_batch} instead validates
-        and decodes instance frames straight out of the internal buffer
-        into a caller-supplied (reusable) {!Batch.t} — ids range-checked,
-        arrival bytes widened to int codes — accepting and rejecting
-        exactly the same streams.  Cold frames (program, paths, end) go
-        through the shared payload parsers unchanged. *)
+    type t = reader
 
     type batch_step =
       | B_need_more  (** A complete next frame has not arrived yet. *)
       | B_program of Cfg.program
+          (** The magic and program frame decoded and validated. *)
       | B_batch  (** One instances frame, decoded into the batch. *)
       | B_end of Hotpath_vm.Vm.run_stats
+          (** The end frame validated (totals cross-checked); returned
+              again by subsequent calls. *)
+
+    val create : unit -> t
+
+    val feed : t -> string -> pos:int -> len:int -> unit
+    (** Append [len] bytes of [s] starting at [pos] to the window.
+        Ignored once the decoder has errored or been {!close}d.
+        @raise Invalid_argument if [pos]/[len] do not describe a
+        substring, or on a reader that is not a push decoder. *)
 
     val next_batch : t -> Batch.t -> (batch_step, string) result
-    (** As {!next}, filling [batch] instead of allocating a {!chunk}.
-        The batch contents are valid until the next [next_batch] call
-        with the same batch. *)
+    (** Decode as far as the buffered bytes allow, filling [batch] on
+        [B_batch].  Call repeatedly until [Ok B_need_more] (or terminally
+        [B_end]/[Error]).  Bytes that arrive after the end frame surface
+        as a trailing-garbage error on the call after they are fed. *)
+
+    val buffered : t -> int
+    (** Bytes fed but not yet consumed by a decoded frame. *)
   end
 
-  (** {1 Zero-copy mapped reading}
+  (** {1 Mapped feed}
 
-      A {!Mapped.t} reads a HOTPATH3 stream from a [Bigarray]-backed
-      buffer — a memory-mapped file via {!Mapped.map_file}, or any
-      in-memory bigstring — validating each frame's bounds and CRC-32
-      against the mapped region directly and decoding instance frames
-      straight into a reusable {!Batch.t}.  No [Bytes.blit] per frame,
-      no per-chunk allocation: the kernel pages the file in behind the
-      sequential scan, and the only per-frame copies are the cold
-      program/paths/end payloads handed to the shared parsers.  Frame
-      windowing is preserved — a consumer holds one decoded frame of
-      state at a time, so replaying through {!Session} keeps peak heap
-      at O(paths + frame) even though the file mapping is as large as
-      the file. *)
+      A mapped reader validates each frame's bounds and CRC-32 against
+      the buffer directly and decodes instance frames out of it into a
+      reusable {!Batch.t}: no per-frame copy or allocation, and the
+      kernel pages the file in behind the sequential scan.  Only the
+      cold program, paths and end payloads are copied for their parsers.
+      A consumer still holds one decoded frame of state at a time, so
+      replay keeps peak heap at O(paths + frame) although the mapping is
+      as large as the file. *)
   module Mapped : sig
     type bigstring = Hotpath_util.Crc32.bigstring
 
-    type t
+    type t = reader
 
     val map_file : path:string -> (t, string) result
     (** Map a HOTPATH3 file read-only and validate its magic and program
         frame.  Non-regular files (pipes, sockets, directories) return
-        [Error] — stream those through {!open_file}/{!Decoder} instead.
-        The mapping is released when the reader is garbage-collected. *)
+        [Error]; read those with {!open_file}.  The mapping is released
+        when the reader is garbage-collected. *)
 
     val of_bigstring : bigstring -> (t, string) result
-    (** Wrap an incoming buffer without copying it.  The caller must not
-        mutate the buffer while the reader is live. *)
+    (** Wrap a buffer without copying it.  The caller must not mutate
+        the buffer while the reader is live. *)
 
     val of_string : string -> (t, string) result
-    (** Copy [s] into a fresh bigstring and wrap it (tests, small
-        buffers). *)
+    (** Copy [s] into a fresh bigstring and wrap it. *)
 
     val next_batch : t -> Batch.t -> (bool, string) result
-    (** Decode frames up to and including the next instance frame into
-        [batch].  [Ok true]: the batch holds the frame's instances.
-        [Ok false]: the end frame was validated (totals cross-checked,
-        no trailing bytes) — {!vm_stats} is now [Some] — and every later
-        call returns [Ok false] again.  After an [Error] the reader is
-        poisoned and repeats the same error.  Validation matches the
-        pull reader frame for frame: same bounds checks, same CRC, same
-        accept/reject decisions on every stream. *)
-
-    val program : t -> Cfg.program
-
-    val table : t -> Path_table.t
-    (** Paths declared so far; grows as batches are pulled. *)
+    (** {!Stream.next_batch}, under the name mapped callers use. *)
 
     val instances_read : t -> int
-
-    val vm_stats : t -> Hotpath_vm.Vm.run_stats option
-
-    val error : t -> string option
+    (** {!Stream.instances_read}. *)
   end
 end

@@ -250,22 +250,18 @@ let test_differential_run_many () =
 
 let test_differential_stream () =
   let r = recording 9 in
-  let blob = Serialize.Stream.to_string ~chunk_instances:512 r in
   List.iter
     (fun (name, scheme) ->
-       let open_reader () =
-         match Serialize.Stream.open_string blob with
-         | Ok rd -> rd
-         | Error e -> Alcotest.failf "open_string: %s" e
-       in
+       (* A pull-fed reader, as [replay --stream] opens a pipe. *)
+       let open_reader () = Serialize.Stream.of_recorder ~chunk_instances:512 r in
        let plain =
-         match Replay.run_stream scheme ~delay:5 (open_reader ()) with
+         match Replay.run_mapped scheme ~delay:5 (open_reader ()) with
          | Ok o -> o
          | Error e -> Alcotest.failf "plain stream replay: %s" e
        in
        let buf = Buffer.create 4096 in
        let ev = Replay.events ~window:900 (Events.of_buffer buf) in
-       match Replay.run_stream ~events:ev scheme ~delay:5 (open_reader ()) with
+       match Replay.run_mapped ~events:ev scheme ~delay:5 (open_reader ()) with
        | Error e -> Alcotest.failf "sampled stream replay: %s" e
        | Ok sampled ->
          Alcotest.(check bool) (name ^ ": stream identical") true

@@ -269,8 +269,9 @@ let prop_run_many_equals_per_delay_runs =
            (module Path_profile);
          ])
 
-(* Streamed replay is driven from an HOTPATH3 chunk iterator; the chunk
-   size is drawn from the workload seed so the split points vary. *)
+(* Streamed replay is a pull-fed HOTPATH3 reader through
+   [Replay.run_mapped]; the frame size is drawn from the workload seed so
+   the split points vary. *)
 let stream_reader ~seed recorded =
   Serialize.Stream.of_recorder ~chunk_instances:(1 + (seed mod 97)) recorded
 
@@ -303,7 +304,7 @@ let prop_run_stream_equals_run =
             List.for_all
               (fun delay ->
                  match
-                   Replay.run_stream scheme ~delay (stream_reader ~seed recorded)
+                   Replay.run_mapped scheme ~delay (stream_reader ~seed recorded)
                  with
                  | Error _ -> false
                  | Ok streamed ->
@@ -326,7 +327,8 @@ let prop_run_many_stream_equals_run_many =
        List.for_all
          (fun scheme ->
             match
-              Replay.run_many_stream scheme ~delays (stream_reader ~seed recorded)
+              Replay.run_many_mapped scheme ~delays
+                (stream_reader ~seed recorded)
             with
             | Error _ -> false
             | Ok streamed ->
@@ -347,8 +349,8 @@ let prop_run_many_stream_jobs_equals_serial =
     QCheck.(pair arb_workload (int_range 2 4))
     (fun (((_, seed) as w), jobs) ->
        let _, recorded = record_spec w in
-       (* Moderate frame chunks: each decoded chunk is one fan-out round,
-          so frame size controls how many seams the lane groups cross. *)
+       (* Moderate frames: each decoded frame is one fan-out round, so
+          frame size controls how many seams the lane groups cross. *)
        let rd () =
          Serialize.Stream.of_recorder
            ~chunk_instances:(64 + (seed mod 97))
@@ -357,12 +359,12 @@ let prop_run_many_stream_jobs_equals_serial =
        let delays = [ 1; 3; 7; 20; 100; 5_000 ] in
        List.for_all
          (fun scheme ->
-            match Replay.run_many_stream scheme ~delays (rd ()) with
+            match Replay.run_many_mapped scheme ~delays (rd ()) with
             | Error _ -> false
             | Ok serial ->
               Pool.with_domain_limit 4 (fun () ->
                   match
-                    Replay.run_many_stream ~jobs scheme ~delays (rd ())
+                    Replay.run_many_mapped ~jobs scheme ~delays (rd ())
                   with
                   | Error _ -> false
                   | Ok sharded -> List.for_all2 outcome_equal serial sharded))
@@ -378,7 +380,7 @@ let prop_run_many_stream_jobs_equals_serial =
          let buf = Buffer.create 4_096 in
          let ev = Replay.events ~window:97 (Hotpath_util.Events.of_buffer buf) in
          match
-           Replay.run_many_stream ~events:ev ~jobs (module Net) ~delays (rd ())
+           Replay.run_many_mapped ~events:ev ~jobs (module Net) ~delays (rd ())
          with
          | Error _ -> None
          | Ok _ -> Some (Buffer.contents buf)

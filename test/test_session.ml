@@ -4,10 +4,10 @@
    into a [Session] in *any* granularity — one instance at a time, prime
    chunk sizes, chunks larger than the trace — produces outcomes, event
    streams, and counter-registry snapshots bit-identical to the batch
-   engine ([Replay.run_many]) and the streamed engine
-   ([Replay.run_many_stream]) on the same instances.  The suite drives
+   engine ([Replay.run_many]) and the file-replay engine
+   ([Replay.run_many_mapped]) on the same instances.  The suite drives
    every scheme over several fixtures at adversarial granularities, and
-   separately proves the online lint gate rejects a malformed chunk with
+   separately proves the online lint gate rejects a malformed batch with
    zero session mutation. *)
 
 module Recorder = Hotpath_trace.Recorder
@@ -22,6 +22,7 @@ module Net = Hotpath_prediction.Net
 module Path_profile = Hotpath_prediction.Path_profile
 module Events = Hotpath_util.Events
 module Prng = Hotpath_util.Prng
+module Batch = Hotpath_trace.Batch
 
 let schemes : (string * Scheme.packed) list =
   [
@@ -61,16 +62,29 @@ let session_exn ?events ?lint ?on_predict packed ~delays (r : Recorder.t) =
   | Ok s -> s
   | Error e -> Alcotest.failf "Session.create on clean fixture: %s" e
 
+(* Fill [b] with instances [off, off + len) of [r]. *)
+let fill_batch (b : Batch.t) (r : Recorder.t) off len =
+  Batch.ensure b len;
+  for j = 0 to len - 1 do
+    b.Batch.ids.(j) <- r.Recorder.instances.(off + j);
+    b.Batch.arrs.(j) <- Char.code (Bytes.get r.Recorder.arrivals (off + j))
+  done;
+  Batch.set_length b len
+
+let batch_of r off len =
+  let b = Batch.create () in
+  fill_batch b r off len;
+  b
+
+(* Push [r] in slices of [g] instances, each in a batch of its own. *)
 let push_sliced sess (r : Recorder.t) g =
   let n = Array.length r.Recorder.instances in
   let off = ref 0 in
   while !off < n do
     let len = min g (n - !off) in
-    let ids = Array.sub r.Recorder.instances !off len in
-    let arrivals = Bytes.sub r.Recorder.arrivals !off len in
-    (match Session.push_chunk sess ~ids ~arrivals with
+    (match Session.push_batch sess (batch_of r !off len) with
     | Ok () -> ()
-    | Error e -> Alcotest.failf "push_chunk (granularity %d): %s" g e);
+    | Error e -> Alcotest.failf "push_batch (granularity %d): %s" g e);
     off := !off + len
   done
 
@@ -145,12 +159,12 @@ let test_differential_vs_stream () =
     (fun (sname, packed) ->
       let batch = Replay.run_many packed ~delays r in
       let streamed =
-        match Stream.open_string (Stream.to_string ~chunk_instances:64 r) with
-        | Error e -> Alcotest.failf "open_string: %s" e
-        | Ok rd -> (
-          match Replay.run_many_stream packed ~delays rd with
-          | Error e -> Alcotest.failf "run_many_stream: %s" e
-          | Ok os -> os)
+        match
+          Replay.run_many_mapped packed ~delays
+            (Stream.of_recorder ~chunk_instances:64 r)
+        with
+        | Error e -> Alcotest.failf "run_many_mapped: %s" e
+        | Ok os -> os
       in
       check_outcomes ("stream/" ^ sname) batch streamed;
       let sess = session_exn packed ~delays r in
@@ -159,48 +173,24 @@ let test_differential_vs_stream () =
     schemes
 
 (* ------------------------------------------------------------------ *)
-(* push_batch: the batched-decode twin of push_chunk                   *)
+(* One reused batch: the decoders' refill shape                        *)
 (* ------------------------------------------------------------------ *)
 
-module Batch = Hotpath_trace.Batch
-
-(* Same slicing as [push_sliced], but each slice is decoded into a
-   single reused batch first — exactly the serve daemon's ingest shape,
-   where the decoder refills one pooled batch per frame. *)
+(* Same slicing as [push_sliced], but every slice refills one batch —
+   exactly the readers' shape, where each instance frame is decoded
+   into the same storage. *)
 let push_sliced_batch sess (r : Recorder.t) g =
   let b = Batch.create ~capacity:8 () in
   let n = Array.length r.Recorder.instances in
   let off = ref 0 in
   while !off < n do
     let len = min g (n - !off) in
-    Batch.fill_of_chunk b
-      ~ids:(Array.sub r.Recorder.instances !off len)
-      ~arrivals:(Bytes.sub r.Recorder.arrivals !off len);
+    fill_batch b r !off len;
     (match Session.push_batch sess b with
     | Ok () -> ()
     | Error e -> Alcotest.failf "push_batch (granularity %d): %s" g e);
     off := !off + len
   done
-
-let test_differential_push_batch () =
-  (* Pushing batches refilled from the same storage must be
-     bit-identical to push_chunk and to the batch engine, for every
-     scheme at every adversarial granularity. *)
-  List.iter
-    (fun (fname, r) ->
-      let n = Array.length r.Recorder.instances in
-      List.iter
-        (fun (sname, packed) ->
-          let batch = Replay.run_many packed ~delays r in
-          List.iter
-            (fun g ->
-              let sess = session_exn packed ~delays r in
-              push_sliced_batch sess r g;
-              let label = Printf.sprintf "batch %s/%s/g=%d" fname sname g in
-              check_outcomes label batch (Session.finish sess))
-            (granularities n))
-        schemes)
-    (fixtures ())
 
 let test_push_batch_event_stream_identical () =
   let r = Test_serialize.record_fixture () in
@@ -230,22 +220,34 @@ let test_push_batch_event_stream_identical () =
         [ 1; 13; 4096 ])
     [ ("net", (module Net : Scheme.S)); ("path-profile", (module Path_profile)) ]
 
-let test_push_batch_validates_like_push_chunk () =
-  (* The decode-level gate must hold for batches too: undeclared ids and
-     invalid arrival codes refused with zero state movement, even with
-     the trace linter off. *)
+let test_push_batch_validates_under_lint () =
+  (* With the trace linter on, undeclared ids and invalid arrival codes
+     are its T201/T202 findings, refused before any state moves. *)
   let r = Test_serialize.record_fixture () in
-  let sess = session_exn ~lint:false (module Net) ~delays r in
+  let sess = session_exn (module Net) ~delays r in
   let np = Hotpath_trace.Path_table.size r.Recorder.table in
-  let b = Batch.create () in
-  Batch.fill_of_chunk b ~ids:[| np + 3 |] ~arrivals:(Bytes.make 1 '\000');
-  (match Session.push_batch sess b with
+  let mentions code e =
+    let n = String.length code in
+    let rec at i =
+      i + n <= String.length e && (String.sub e i n = code || at (i + 1))
+    in
+    at 0
+  in
+  let one id code =
+    let b = Batch.create ~capacity:1 () in
+    b.Batch.ids.(0) <- id;
+    b.Batch.arrs.(0) <- code;
+    Batch.set_length b 1;
+    b
+  in
+  (match Session.push_batch sess (one (np + 3) 0) with
   | Ok () -> Alcotest.fail "out-of-range path id accepted"
-  | Error _ -> ());
-  Batch.fill_of_chunk b ~ids:[| 0 |] ~arrivals:(Bytes.make 1 '\007');
-  (match Session.push_batch sess b with
+  | Error e ->
+    Alcotest.(check bool) ("T201: " ^ e) true (mentions "[T201]" e));
+  (match Session.push_batch sess (one 0 7) with
   | Ok () -> Alcotest.fail "invalid arrival code accepted"
-  | Error _ -> ());
+  | Error e ->
+    Alcotest.(check bool) ("T202: " ^ e) true (mentions "[T202]" e));
   Alcotest.(check int) "nothing accepted" 0 (Session.instances sess)
 
 (* ------------------------------------------------------------------ *)
@@ -364,17 +366,13 @@ let test_lint_rejects_without_mutation () =
       let r, bad_at, orig = corrupted_fixture () in
       let sess = session_exn packed ~delays r in
       (* Clean prefix: everything before the bad instance. *)
-      let push lo len =
-        Session.push_chunk sess
-          ~ids:(Array.sub r.Recorder.instances lo len)
-          ~arrivals:(Bytes.sub r.Recorder.arrivals lo len)
-      in
+      let push lo len = Session.push_batch sess (batch_of r lo len) in
       (match push 0 bad_at with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: clean prefix rejected: %s" sname e);
       let before = Session.instances sess in
       let n = Array.length r.Recorder.instances in
-      (* The chunk containing the bad arrival must be refused... *)
+      (* The batch containing the bad arrival must be refused... *)
       (match push bad_at (n - bad_at) with
       | Ok () -> Alcotest.failf "%s: lint gate accepted a T2xx trace chunk" sname
       | Error e ->
@@ -404,14 +402,14 @@ let test_unlinted_session_still_validates_ids () =
   let r = Test_serialize.record_fixture () in
   let sess = session_exn ~lint:false (module Net) ~delays r in
   let np = Hotpath_trace.Path_table.size r.Recorder.table in
-  (match
-     Session.push_chunk sess ~ids:[| np + 3 |] ~arrivals:(Bytes.make 1 '\000')
-   with
+  let b = batch_of r 0 1 in
+  b.Batch.ids.(0) <- np + 3;
+  (match Session.push_batch sess b with
   | Ok () -> Alcotest.fail "out-of-range path id accepted"
   | Error _ -> ());
-  (match
-     Session.push_chunk sess ~ids:[| 0 |] ~arrivals:(Bytes.make 1 '\007')
-   with
+  b.Batch.ids.(0) <- 0;
+  b.Batch.arrs.(0) <- 7;
+  (match Session.push_batch sess b with
   | Ok () -> Alcotest.fail "invalid arrival code accepted"
   | Error _ -> ());
   Alcotest.(check int) "nothing accepted" 0 (Session.instances sess)
@@ -427,11 +425,7 @@ let test_finish_idempotent_and_final () =
   let a = Session.finish sess in
   let b = Session.finish sess in
   Alcotest.(check bool) "finish is idempotent" true (a = b);
-  match
-    Session.push_chunk sess
-      ~ids:(Array.sub r.Recorder.instances 0 1)
-      ~arrivals:(Bytes.sub r.Recorder.arrivals 0 1)
-  with
+  match Session.push_batch sess (batch_of r 0 1) with
   | Ok () -> Alcotest.fail "push after finish accepted"
   | Error _ -> ()
 
@@ -447,17 +441,6 @@ let test_empty_session () =
         (Array.length o.Session.predictions))
     outcomes
 
-let test_length_mismatch_rejected () =
-  let r = Test_serialize.record_fixture () in
-  let sess = session_exn (module Net) ~delays r in
-  match
-    Session.push_chunk sess
-      ~ids:(Array.sub r.Recorder.instances 0 4)
-      ~arrivals:(Bytes.sub r.Recorder.arrivals 0 3)
-  with
-  | Ok () -> Alcotest.fail "mismatched chunk accepted"
-  | Error _ -> Alcotest.(check int) "nothing accepted" 0 (Session.instances sess)
-
 let suites =
   [
     ( "session.differential",
@@ -468,12 +451,10 @@ let suites =
           test_differential_single_push;
         Alcotest.test_case "batch ≡ stream ≡ session" `Quick
           test_differential_vs_stream;
-        Alcotest.test_case "push_batch ≡ push_chunk (all schemes)" `Quick
-          test_differential_push_batch;
         Alcotest.test_case "push_batch event streams byte-identical" `Quick
           test_push_batch_event_stream_identical;
-        Alcotest.test_case "push_batch validates like push_chunk" `Quick
-          test_push_batch_validates_like_push_chunk;
+        Alcotest.test_case "push_batch validates under the lint gate" `Quick
+          test_push_batch_validates_under_lint;
         Alcotest.test_case "event streams byte-identical" `Quick
           test_event_stream_identical;
         Alcotest.test_case "registry snapshots identical" `Quick
@@ -493,7 +474,5 @@ let suites =
         Alcotest.test_case "finish idempotent, then pushes fail" `Quick
           test_finish_idempotent_and_final;
         Alcotest.test_case "empty session" `Quick test_empty_session;
-        Alcotest.test_case "length mismatch rejected" `Quick
-          test_length_mismatch_rejected;
       ] );
   ]

@@ -1,17 +1,27 @@
 (* HOTPATH3 streaming format: round trips, constant-memory contracts,
-   the serializer fuzz suite, and the on-disk regression corpus.
+   the fuzz suite, and the on-disk regression corpus.
 
-   The fuzz suite's contract is strict for HOTPATH3: the per-frame CRC
-   makes *every* byte-level corruption of a valid stream detectable, so
-   each mutated blob must come back [Error _] — never [Ok], never an
-   exception, never a hang.  HOTPATH2 has no checksum, so its byte-flip
-   cases only demand no-crash ([Ok] or [Error]), while truncations and
-   count-field corruptions are still strict. *)
+   One frame parser reads every stream, fed three ways: pull (refilled
+   from a channel), push (bytes appended by [Decoder.feed]) and mapped
+   (the whole buffer).  The fuzz suite is one table of feeds: every
+   corpus member and every mutant runs through pull, push at three slice
+   sizes and mapped, and all of them must reach the same verdict with
+   the same error message.  The contract is strict for HOTPATH3: the
+   per-frame CRC makes *every* byte-level corruption of a valid stream
+   detectable, so each mutated blob must come back [Error _] — never
+   [Ok], never an exception, never a hang.  HOTPATH2 has no checksum, so
+   its byte-flip cases only demand no-crash ([Ok] or [Error]), while
+   truncations and count-field corruptions are still strict.
 
-module Cfg = Hotpath_cfg.Cfg
+   Test names that say "run_stream" mean streamed replay: a pull-fed
+   reader through [Replay.run_mapped]. *)
+
 module Recorder = Hotpath_trace.Recorder
 module Serialize = Hotpath_trace.Serialize
 module Stream = Hotpath_trace.Serialize.Stream
+module Decoder = Stream.Decoder
+module Mapped = Stream.Mapped
+module Batch = Hotpath_trace.Batch
 module Path_table = Hotpath_trace.Path_table
 module Replay = Hotpath_prediction.Replay
 module Scheme = Hotpath_prediction.Scheme
@@ -20,7 +30,6 @@ module Path_profile = Hotpath_prediction.Path_profile
 module Sweep = Hotpath_metrics.Sweep
 module Hot_set = Hotpath_metrics.Hot_set
 module Suite = Hotpath_workloads.Suite
-module Generator = Hotpath_workloads.Generator
 module Prng = Hotpath_util.Prng
 
 let record_fixture = Test_serialize.record_fixture
@@ -31,15 +40,22 @@ let fixture_program () =
   let program, behavior, _ = Fixtures.indirect_loop ~exit_prob:0.02 () in
   (program, behavior)
 
-let stream_of_recorder ?chunk_instances r =
-  match Stream.open_string (Stream.to_string ?chunk_instances r) with
-  | Ok rd -> rd
-  | Error e -> Alcotest.failf "open_string on valid stream failed: %s" e
-
 let drain rd =
   match Stream.to_recorder rd with
   | Ok r -> r
   | Error e -> Alcotest.failf "to_recorder on valid stream failed: %s" e
+
+(* A pull reader over [s], through a temporary file.  The file is
+   unlinked as soon as it is open; the descriptor keeps it readable. *)
+let open_pull s =
+  let path = Filename.temp_file "hotpath_stream" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+       let oc = open_out_bin path in
+       output_string oc s;
+       close_out oc;
+       Stream.open_file ~path)
 
 (* ------------------------------------------------------------------ *)
 (* Round trips and boundaries                                          *)
@@ -49,7 +65,7 @@ let test_stream_roundtrip () =
   let r = record_fixture () in
   List.iter
     (fun chunk_instances ->
-       check_same_recording r (drain (stream_of_recorder ~chunk_instances r)))
+       check_same_recording r (drain (Stream.of_recorder ~chunk_instances r)))
     [ 1; 7; 256; Stream.default_chunk_instances ]
 
 let test_chunk_boundaries () =
@@ -60,7 +76,7 @@ let test_chunk_boundaries () =
   Alcotest.(check bool) "fixture is non-trivial" true (n > 2);
   List.iter
     (fun chunk_instances ->
-       check_same_recording r (drain (stream_of_recorder ~chunk_instances r)))
+       check_same_recording r (drain (Stream.of_recorder ~chunk_instances r)))
     [ n - 1; n; n + 1 ]
 
 let test_empty_trace_roundtrip () =
@@ -69,7 +85,7 @@ let test_empty_trace_roundtrip () =
     Recorder.record ~max_paths:0 program behavior ~rng:(Prng.create ~seed:7)
   in
   Alcotest.(check int) "empty trace" 0 (Recorder.num_instances empty);
-  let r' = drain (stream_of_recorder empty) in
+  let r' = drain (Stream.of_recorder empty) in
   check_same_recording empty r'
 
 let test_streamed_record_matches_materialized_bytes () =
@@ -139,30 +155,28 @@ let test_legacy_file_still_loads () =
 
 let test_reader_accessors () =
   let r = record_fixture () in
-  let rd = stream_of_recorder ~chunk_instances:50 r in
+  let rd = Stream.of_recorder ~chunk_instances:50 r in
   Alcotest.(check bool) "no stats before end" true (Stream.vm_stats rd = None);
+  let b = Batch.create ~capacity:4 () in
   let rec pull () =
-    match Stream.next rd with
-    | Error e -> Alcotest.failf "next failed: %s" e
-    | Ok (Some chunk) ->
-      Alcotest.(check int) "arrivals per id"
-        (Array.length chunk.Stream.ids)
-        (Bytes.length chunk.Stream.arrivals);
+    match Stream.next_batch rd b with
+    | Error e -> Alcotest.failf "next_batch failed: %s" e
+    | Ok true ->
       let np = Path_table.size (Stream.table rd) in
-      Array.iter
-        (fun id ->
-           Alcotest.(check bool) "id already declared" true (id >= 0 && id < np))
-        chunk.Stream.ids;
+      for j = 0 to Batch.length b - 1 do
+        let id = b.Batch.ids.(j) in
+        Alcotest.(check bool) "id already declared" true (id >= 0 && id < np)
+      done;
       pull ()
-    | Ok None -> ()
+    | Ok false -> ()
   in
   pull ();
   Alcotest.(check int) "instances_read" (Recorder.num_instances r)
     (Stream.instances_read rd);
   Alcotest.(check bool) "stats after end" true (Stream.vm_stats rd <> None);
-  (match Stream.next rd with
-   | Ok None -> ()
-   | _ -> Alcotest.fail "next after end must keep returning Ok None");
+  (match Stream.next_batch rd b with
+   | Ok false -> ()
+   | _ -> Alcotest.fail "next_batch after end must keep returning Ok false");
   Stream.close rd;
   Stream.close rd
 
@@ -186,9 +200,10 @@ let test_run_stream_matches_run () =
          (fun delay ->
             let materialized = Replay.run scheme ~delay r in
             match
-              Replay.run_stream scheme ~delay (stream_of_recorder ~chunk_instances:33 r)
+              Replay.run_mapped scheme ~delay
+                (Stream.of_recorder ~chunk_instances:33 r)
             with
-            | Error e -> Alcotest.failf "%s: run_stream failed: %s" name e
+            | Error e -> Alcotest.failf "%s: pull replay failed: %s" name e
             | Ok streamed ->
               Alcotest.(check bool)
                 (Printf.sprintf "%s delay=%d identical" name delay)
@@ -204,9 +219,10 @@ let test_run_many_stream_matches_run_many () =
     (fun (name, scheme) ->
        let materialized = Replay.run_many scheme ~delays r in
        match
-         Replay.run_many_stream scheme ~delays (stream_of_recorder ~chunk_instances:61 r)
+         Replay.run_many_mapped scheme ~delays
+           (Stream.of_recorder ~chunk_instances:61 r)
        with
-       | Error e -> Alcotest.failf "%s: run_many_stream failed: %s" name e
+       | Error e -> Alcotest.failf "%s: pull replay failed: %s" name e
        | Ok streamed ->
          Alcotest.(check int) "one outcome per delay" (List.length delays)
            (List.length streamed);
@@ -224,11 +240,11 @@ let test_run_many_stream_single_pass () =
   let n = Recorder.num_instances r in
   let before = Replay.instance_reads () in
   (match
-     Replay.run_many_stream (module Net) ~delays:[ 1; 5; 25; 125 ]
-       (stream_of_recorder r)
+     Replay.run_many_mapped (module Net) ~delays:[ 1; 5; 25; 125 ]
+       (Stream.of_recorder r)
    with
    | Ok _ -> ()
-   | Error e -> Alcotest.failf "run_many_stream failed: %s" e);
+   | Error e -> Alcotest.failf "pull replay failed: %s" e);
   Alcotest.(check int) "stream read once" n (Replay.instance_reads () - before)
 
 let test_sweep_stream_matches_sweep () =
@@ -242,7 +258,9 @@ let test_sweep_stream_matches_sweep () =
   in
   let delays = [ 2; 10; 100; 1_000 ] in
   let materialized = Sweep.run (module Net) r ~hot ~delays in
-  match Sweep.run_stream (module Net) (stream_of_recorder r) ~threshold ~delays with
+  match
+    Sweep.run_stream (module Net) (Stream.of_recorder r) ~threshold ~delays
+  with
   | Error e -> Alcotest.failf "run_stream sweep failed: %s" e
   | Ok streamed ->
     Alcotest.(check bool) "sweep points identical" true (materialized = streamed)
@@ -256,25 +274,201 @@ let test_run_stream_surfaces_decode_errors () =
   let b = Bytes.of_string s in
   let mid = String.length s / 2 in
   Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0x40));
-  match Stream.open_string (Bytes.to_string b) with
+  match open_pull (Bytes.to_string b) with
   | Error _ -> () (* corruption already hit the program frame: fine *)
   | Ok rd -> (
-      match Replay.run_stream (module Net) ~delay:7 rd with
+      match Replay.run_mapped (module Net) ~delay:7 rd with
       | Ok _ -> Alcotest.fail "corrupt stream replayed to Ok"
       | Error first -> (
-          match Stream.next rd with
+          match Stream.next_batch rd (Batch.create ()) with
           | Error second ->
             Alcotest.(check string) "reader stays poisoned" first second
           | Ok _ -> Alcotest.fail "poisoned reader yielded a chunk"))
 
 (* ------------------------------------------------------------------ *)
-(* Fuzz suite                                                          *)
+(* Pipes: the pull feed over a non-regular file                        *)
 (* ------------------------------------------------------------------ *)
 
+let test_fifo_pull_replay () =
+  (* [replay --stream] reads anything it cannot map through the pull
+     feed.  A named pipe with a writer thread that trickles the stream
+     in spaced 997-byte pieces, against instance frames of 2.5 KB, makes
+     every frame span several short reads; the replay must still equal
+     the materialized one. *)
+  let r = Suite.record ~scale:0.02 (Suite.find_exn "compress") in
+  let blob = Stream.to_string ~chunk_instances:500 r in
+  let path = Filename.temp_file "hotpath_fifo" ".trace" in
+  Sys.remove path;
+  Unix.mkfifo path 0o600;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+       (match Mapped.map_file ~path with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "mapped a FIFO");
+       (* A reader that fails early closes the pipe: the writer must see
+          EPIPE and stop, not take the process down with SIGPIPE. *)
+       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+       let writer =
+         Thread.create
+           (fun () ->
+              let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+              Fun.protect
+                ~finally:(fun () -> Unix.close fd)
+                (fun () ->
+                   let off = ref 0 in
+                   try
+                     while !off < String.length blob do
+                       let len = min 997 (String.length blob - !off) in
+                       off := !off + Unix.write_substring fd blob !off len;
+                       Thread.delay 0.002
+                     done
+                   with Unix.Unix_error (Unix.EPIPE, _, _) -> ()))
+           ()
+       in
+       let result =
+         match Stream.open_file ~path with
+         | Error e -> Error e
+         | Ok rd ->
+           let o = Replay.run_mapped (module Net) ~delay:7 rd in
+           Stream.close rd;
+           o
+       in
+       Thread.join writer;
+       match result with
+       | Error e -> Alcotest.failf "replay through a FIFO failed: %s" e
+       | Ok streamed ->
+         Alcotest.(check bool) "FIFO replay = run" true
+           (Test_properties.outcome_equal
+              (Replay.run (module Net) ~delay:7 r)
+              streamed))
+
+(* ------------------------------------------------------------------ *)
+(* The feed table                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* What a feed made of a whole input: the decoded ids and re-packed
+   arrival bytes after a validated end frame, or the error it was
+   poisoned with. *)
+type verdict = (int array * string, string) result
+
+let show_verdict = function
+  | Ok (ids, _) -> Printf.sprintf "Ok (%d instances)" (Array.length ids)
+  | Error e -> Printf.sprintf "Error %S" e
+
+(* Accumulates every batch decoded, in order. *)
+let collector () =
+  let ids = ref [] and arrs = ref [] in
+  let add (b : Batch.t) =
+    let n = Batch.length b in
+    ids := Array.sub b.Batch.ids 0 n :: !ids;
+    arrs := String.init n (fun j -> Char.chr b.Batch.arrs.(j)) :: !arrs
+  in
+  let result () =
+    (Array.concat (List.rev !ids), String.concat "" (List.rev !arrs))
+  in
+  (add, result)
+
+(* A poisoned reader repeats its error verbatim. *)
+let check_sticky what e = function
+  | Error e' -> Alcotest.(check string) (what ^ ": error is sticky") e e'
+  | Ok _ -> Alcotest.failf "%s: poisoned reader recovered" what
+
+(* Drain an opened pull or mapped reader to its verdict. *)
+let drain_reader (opened : (Stream.reader, string) result) : verdict =
+  match opened with
+  | Error e -> Error e
+  | Ok rd ->
+    let b = Batch.create ~capacity:16 () in
+    let add, result = collector () in
+    let rec loop () =
+      match Stream.next_batch rd b with
+      | Ok true ->
+        add b;
+        loop ()
+      | Ok false -> Ok (result ())
+      | Error e ->
+        check_sticky "reader" e (Stream.next_batch rd b);
+        Error e
+    in
+    let v = loop () in
+    Stream.close rd;
+    v
+
+(* Push [s] into a fresh decoder [slice] bytes at a time, pumping after
+   every slice, then close the input, so that a stream that stops short
+   fails as the same truncation the bounded feeds report. *)
+let push_through ~slice s =
+  let d = Decoder.create () in
+  let b = Batch.create ~capacity:16 () in
+  let add, result = collector () in
+  let rec pump () =
+    match Decoder.next_batch d b with
+    | Error _ as e -> e
+    | Ok Decoder.B_need_more -> Ok false
+    | Ok (Decoder.B_program _) -> pump ()
+    | Ok Decoder.B_batch ->
+      add b;
+      pump ()
+    | Ok (Decoder.B_end _) -> Ok true
+  in
+  let n = String.length s in
+  let rec go off =
+    if off >= n then begin
+      Stream.close d;
+      pump ()
+    end
+    else begin
+      let len = min slice (n - off) in
+      Decoder.feed d s ~pos:off ~len;
+      match pump () with Error _ as e -> e | Ok _ -> go (off + len)
+    end
+  in
+  let verdict =
+    match go 0 with
+    | Ok true -> Ok (result ())
+    | Ok false -> Alcotest.fail "closed decoder still asks for more"
+    | Error e ->
+      (* Poisoned: further input is ignored. *)
+      Decoder.feed d s ~pos:0 ~len:(min n 16);
+      check_sticky "decoder" e (Decoder.next_batch d b);
+      Error e
+  in
+  (d, verdict)
+
+let drain_pushed ~slice s = snd (push_through ~slice s)
+
+let feeds : (string * (string -> verdict)) list =
+  [
+    ("pull", fun s -> drain_reader (open_pull s));
+    ("mapped", fun s -> drain_reader (Mapped.of_string s));
+    ("push/1", drain_pushed ~slice:1);
+    ("push/7", drain_pushed ~slice:7);
+    ("push/4096", drain_pushed ~slice:4096);
+  ]
+
+(* Run [s] through every feed; all must reach the same verdict, message
+   included.  Returns that verdict. *)
+let same_verdict ?(feeds = feeds) name s =
+  match List.map (fun (feed, run) -> (feed, run s)) feeds with
+  | [] -> invalid_arg "same_verdict: no feeds"
+  | (ref_feed, reference) :: rest ->
+    List.iter
+      (fun (feed, v) ->
+         if v <> reference then
+           Alcotest.failf "%s: %s gives %s but %s gives %s" name feed
+             (show_verdict v) ref_feed (show_verdict reference))
+      rest;
+    reference
+
 let expect_error name s =
-  match Serialize.of_string s with
+  match same_verdict name s with
   | Error _ -> ()
   | Ok _ -> Alcotest.failf "%s: corrupt input accepted" name
+
+(* ------------------------------------------------------------------ *)
+(* Fuzz suite                                                          *)
+(* ------------------------------------------------------------------ *)
 
 let flip_bit s ~pos ~bit =
   let b = Bytes.of_string s in
@@ -344,6 +538,11 @@ let test_fuzz_h3_trailing_garbage () =
   expect_error "h3 trailing frame"
     (s ^ String.sub s (String.length Stream.magic) 32)
 
+let expect_h2_error name s =
+  match Serialize.of_string s with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s: corrupt input accepted" name
+
 let test_fuzz_h2_bitflips_never_crash () =
   (* No checksum in HOTPATH2: a flip may legitimately decode, but it
      must never escape as an exception. *)
@@ -363,7 +562,9 @@ let test_fuzz_h2_truncations () =
   let n = String.length s in
   for i = 0 to 59 do
     let keep = i * (n - 1) / 59 in
-    expect_error (Printf.sprintf "h2 truncated to %d" keep) (String.sub s 0 keep)
+    expect_h2_error
+      (Printf.sprintf "h2 truncated to %d" keep)
+      (String.sub s 0 keep)
   done
 
 let test_fuzz_h2_count_fields () =
@@ -378,7 +579,7 @@ let test_fuzz_h2_count_fields () =
     (fun shift ->
        let b = Bytes.of_string s in
        Bytes.set_int64_le b count_off (Int64.shift_left 1L shift);
-       expect_error
+       expect_h2_error
          (Printf.sprintf "h2 instance count 2^%d" shift)
          (Bytes.to_string b))
     [ 20; 31; 61; 62; 63 ]
@@ -408,10 +609,14 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let test_corpus () =
+  (* Every member through every feed (HOTPATH2 members fail the magic on
+     all of them), then the whole-recording entry points: [valid_*]
+     must load, [corrupt_*] must not. *)
   List.iter
     (fun name ->
        let path = Filename.concat "fixtures" name in
        let contents = read_file path in
+       ignore (same_verdict name contents : verdict);
        let from_string = Serialize.of_string contents in
        let from_file = Serialize.load ~path in
        if String.length name >= 6 && String.sub name 0 6 = "valid_" then begin
@@ -435,10 +640,12 @@ let test_corpus () =
 (* ------------------------------------------------------------------ *)
 (* Frame-flood robustness.  Empty k_paths frames are legal (a chunk
    flush that declared no new paths), so an adversarial or degenerate
-   writer can emit millions of them.  Stream.next used to recurse once
-   per skipped frame *inside* its try block — a non-tail call — so a
-   flood overflowed the stack with an uncaught exception; now it must
-   decode in bounded time and memory to the same recording.            *)
+   writer can emit millions of them.  The frame loop once recursed per
+   skipped frame *inside* its try block — a non-tail call — so a flood
+   overflowed the stack with an uncaught exception; now every feed must
+   decode it in bounded time and memory to the same recording.  The
+   push feed gets the whole flood in one slice, so a single
+   [next_batch] walks all of it.                                       *)
 (* ------------------------------------------------------------------ *)
 
 let raw_frame ~kind payload =
@@ -473,16 +680,22 @@ let flood_frames n =
   done;
   Buffer.contents buf
 
+let flood_feeds =
+  [
+    ("pull", List.assoc "pull" feeds);
+    ("mapped", List.assoc "mapped" feeds);
+    ("push/all", fun s -> drain_pushed ~slice:(max 1 (String.length s)) s);
+  ]
+
 let test_empty_paths_frame_flood () =
   let r = record_fixture () in
   let blob = Stream.to_string r in
   let flooded = splice_after_program blob (flood_frames 2_000_000) in
-  match Stream.open_string flooded with
-  | Error e -> Alcotest.failf "flooded stream rejected at open: %s" e
-  | Ok rd ->
-    (match Stream.to_recorder rd with
-     | Error e -> Alcotest.failf "flooded stream rejected: %s" e
-     | Ok r' -> check_same_recording r r')
+  match same_verdict ~feeds:flood_feeds "2M-frame flood" flooded with
+  | Error e -> Alcotest.failf "flooded stream rejected: %s" e
+  | Ok (ids, arrs) ->
+    Alcotest.(check (array int)) "ids" r.Recorder.instances ids;
+    Alcotest.(check string) "arrivals" (Bytes.to_string r.Recorder.arrivals) arrs
 
 let test_flood_then_truncation_rejected () =
   (* A flood that ends in a torn frame must surface as Error, not an
@@ -493,12 +706,9 @@ let test_flood_then_truncation_rejected () =
   let payload_len = Int32.to_int (String.get_int32_le blob (m + 1)) in
   let prefix = String.sub blob 0 (m + 5 + payload_len + 4) in
   let truncated = prefix ^ flood_frames 100_000 ^ "\x01\x00" in
-  match Stream.open_string truncated with
+  match same_verdict ~feeds:flood_feeds "torn flood" truncated with
   | Error _ -> ()
-  | Ok rd ->
-    (match Stream.to_recorder rd with
-     | Error _ -> ()
-     | Ok _ -> Alcotest.fail "truncated flood decoded to Ok")
+  | Ok _ -> Alcotest.fail "truncated flood decoded to Ok"
 
 let test_corpus_valid_members_agree () =
   (* The two valid encodings of the same recording must load to the same
@@ -513,152 +723,86 @@ let test_corpus_valid_members_agree () =
   Alcotest.(check int) "empty corpus member" 0 (Recorder.num_instances empty)
 
 (* ------------------------------------------------------------------ *)
-(* Push decoder: the incremental counterpart of the pull reader         *)
+(* Push feed                                                           *)
 (* ------------------------------------------------------------------ *)
-
-(* Feed [s] to a fresh decoder [feed] bytes at a time, pumping between
-   feeds.  Returns the decoder plus everything it produced. *)
-let decode_all ?(feed = 4096) s =
-  let d = Stream.Decoder.create () in
-  let ids = ref [] in
-  let arrs = ref [] in
-  let error = ref None in
-  let rec pump () =
-    if !error = None then
-      match Stream.Decoder.next d with
-      | Error e -> error := Some e
-      | Ok Stream.Decoder.Need_more -> ()
-      | Ok (Stream.Decoder.Program _) -> pump ()
-      | Ok (Stream.Decoder.Chunk c) ->
-        ids := c.Stream.ids :: !ids;
-        arrs := Bytes.to_string c.Stream.arrivals :: !arrs;
-        pump ()
-      | Ok (Stream.Decoder.End _) -> ()
-  in
-  let off = ref 0 in
-  let n = String.length s in
-  while !off < n && !error = None do
-    let len = min feed (n - !off) in
-    Stream.Decoder.feed d s ~pos:!off ~len;
-    off := !off + len;
-    pump ()
-  done;
-  ( d,
-    Array.concat (List.rev !ids),
-    String.concat "" (List.rev !arrs),
-    !error )
 
 let test_decoder_matches_reader () =
   let r = record_fixture () in
   let blob = Stream.to_string ~chunk_instances:256 r in
+  let pulled = drain_reader (Ok (Stream.of_recorder ~chunk_instances:256 r)) in
+  (match pulled with
+   | Error e -> Alcotest.failf "pull reader errored: %s" e
+   | Ok (ids, arrs) ->
+     Alcotest.(check (array int)) "ids match recorder" r.Recorder.instances ids;
+     Alcotest.(check string) "arrivals match recorder"
+       (Bytes.to_string r.Recorder.arrivals)
+       arrs);
   List.iter
-    (fun feed ->
-      let d, ids, arrs, error = decode_all ~feed blob in
-      (match error with
-      | Some e -> Alcotest.failf "decoder (feed=%d) errored: %s" feed e
-      | None -> ());
-      Alcotest.(check bool)
-        (Printf.sprintf "finished at feed=%d" feed)
-        true
-        (Stream.Decoder.finished d);
-      Alcotest.(check (array int)) "ids match recorder" r.Recorder.instances
-        ids;
-      Alcotest.(check string) "arrivals match recorder"
-        (Bytes.to_string r.Recorder.arrivals)
-        arrs;
-      Alcotest.(check int) "instances_read"
-        (Array.length r.Recorder.instances)
-        (Stream.Decoder.instances_read d);
-      Alcotest.(check int) "table size" (Recorder.num_paths r)
-        (Path_table.size (Stream.Decoder.table d));
-      Alcotest.(check bool) "program decoded" true
-        (Stream.Decoder.program d <> None);
-      Alcotest.(check int) "buffer drained" 0 (Stream.Decoder.buffered d))
+    (fun slice ->
+       let d, pushed = push_through ~slice blob in
+       Alcotest.(check bool)
+         (Printf.sprintf "push (slice=%d) = pull" slice)
+         true (pushed = pulled);
+       Alcotest.(check bool) "finished" true (Stream.vm_stats d <> None);
+       Alcotest.(check int) "instances_read"
+         (Array.length r.Recorder.instances)
+         (Stream.instances_read d);
+       Alcotest.(check int) "table size" (Recorder.num_paths r)
+         (Path_table.size (Stream.table d));
+       Alcotest.(check int) "buffer drained" 0 (Decoder.buffered d))
     [ 1; 7; 4096 ]
 
 let test_decoder_bitflip_fuzz () =
-  (* Every byte-level corruption of a valid HOTPATH3 blob is covered by
-     a frame CRC, so an incremental decode must never finish cleanly:
-     either a typed error, or a stream left incomplete (a torn length
-     field can only look like "more bytes coming" — the serve layer
-     turns that into a disconnect at EOF).  Never an exception. *)
+  (* The push feed on its own, at an odd slice size and with its own
+     seed: every byte-level corruption of a valid HOTPATH3 blob is
+     covered by a frame CRC, so no mutant may decode to a finished
+     stream.  A torn length field only looks like "more bytes coming"
+     until the input is closed, and then fails as a truncation.  The
+     error is sticky ([push_through] checks it). *)
   let r = record_fixture () in
   let blob = Stream.to_string ~chunk_instances:256 r in
   let rng = Prng.create ~seed:0xDEC0DE in
   for _ = 1 to 200 do
     let pos = Prng.int rng ~bound:(String.length blob) in
     let bit = Prng.int rng ~bound:8 in
-    let b = Bytes.of_string blob in
-    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
-    let mutated = Bytes.to_string b in
-    let d, _, _, error = decode_all ~feed:509 mutated in
-    if error = None && Stream.Decoder.finished d then
+    match drain_pushed ~slice:509 (flip_bit blob ~pos ~bit) with
+    | Error _ -> ()
+    | Ok _ ->
       Alcotest.failf "bitflip at byte %d bit %d decoded to a finished stream"
-        pos bit;
-    (* A poisoned decoder repeats its error and ignores further food. *)
-    match error with
-    | None -> ()
-    | Some e -> (
-      Stream.Decoder.feed d blob ~pos:0 ~len:16;
-      match Stream.Decoder.next d with
-      | Error e' -> Alcotest.(check string) "error is sticky" e e'
-      | Ok _ -> Alcotest.fail "decoder recovered after an error")
+        pos bit
   done
 
 let test_decoder_trailing_garbage () =
   let r = record_fixture () in
   let blob = Stream.to_string r in
-  let _, _, _, error = decode_all ~feed:1021 (blob ^ "zz") in
-  match error with
-  | None -> Alcotest.fail "trailing garbage not surfaced"
-  | Some e ->
-    Alcotest.(check bool) "mentions garbage" true
-      (String.length e > 0)
+  match drain_pushed ~slice:1021 (blob ^ "zz") with
+  | Ok _ -> Alcotest.fail "trailing garbage not surfaced"
+  | Error e ->
+    Alcotest.(check string) "message" "trailing garbage after end frame" e
 
 let test_decoder_end_repeats () =
   let r = record_fixture () in
   let blob = Stream.to_string r in
-  let d, _, _, error = decode_all blob in
-  Alcotest.(check bool) "no error" true (error = None);
-  match (Stream.Decoder.next d, Stream.Decoder.next d) with
-  | Ok (Stream.Decoder.End _), Ok (Stream.Decoder.End _) -> ()
+  let d, verdict = push_through ~slice:4096 blob in
+  Alcotest.(check bool) "no error" true (Result.is_ok verdict);
+  let b = Batch.create () in
+  match (Decoder.next_batch d b, Decoder.next_batch d b) with
+  | Ok (Decoder.B_end _), Ok (Decoder.B_end _) -> ()
   | _ -> Alcotest.fail "End is not repeated after completion"
 
 let test_decoder_feed_validation () =
-  let d = Stream.Decoder.create () in
+  let d = Decoder.create () in
   Alcotest.check_raises "bad substring"
     (Invalid_argument "Serialize.Stream.Decoder.feed: bad substring")
-    (fun () -> Stream.Decoder.feed d "abc" ~pos:2 ~len:5)
+    (fun () -> Decoder.feed d "abc" ~pos:2 ~len:5);
+  Alcotest.check_raises "pull reader"
+    (Invalid_argument "Serialize.Stream.Decoder.feed: not a push decoder")
+    (fun () ->
+       Decoder.feed (Stream.of_recorder (record_fixture ())) "abc" ~pos:0 ~len:3)
 
 (* ------------------------------------------------------------------ *)
-(* Mapped (zero-copy) reader: differential vs the pull reader, plus     *)
-(* its own bitflip/truncation fuzz — the in-place validation must make  *)
-(* exactly the pull reader's accept/reject decisions and never crash.   *)
+(* Mapped feed                                                         *)
 (* ------------------------------------------------------------------ *)
-
-module Mapped = Stream.Mapped
-module Batch = Hotpath_trace.Batch
-
-(* Drain a mapped reader through one reused batch.  Returns the
-   concatenated ids and re-packed arrival bytes plus the terminal state:
-   [Ok ()] for a clean end frame, [Error e] when the reader poisoned. *)
-let drain_mapped m =
-  let b = Batch.create ~capacity:16 () in
-  let ids = ref [] in
-  let arrs = ref [] in
-  let rec loop () =
-    match Mapped.next_batch m b with
-    | Ok true ->
-      let n = Batch.length b in
-      ids := Array.sub b.Batch.ids 0 n :: !ids;
-      arrs :=
-        String.init n (fun j -> Char.chr (b.Batch.arrs.(j) land 0xFF)) :: !arrs;
-      loop ()
-    | Ok false -> Ok ()
-    | Error e -> Error e
-  in
-  let final = loop () in
-  (Array.concat (List.rev !ids), String.concat "" (List.rev !arrs), final)
 
 let test_mapped_matches_recorder () =
   let r = record_fixture () in
@@ -668,20 +812,19 @@ let test_mapped_matches_recorder () =
        match Mapped.of_string blob with
        | Error e -> Alcotest.failf "of_string on valid stream: %s" e
        | Ok m ->
-         let ids, arrs, final = drain_mapped m in
-         (match final with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "drain (chunk=%d): %s" chunk_instances e);
-         Alcotest.(check (array int)) "ids match recorder"
-           r.Recorder.instances ids;
-         Alcotest.(check string) "arrivals match recorder"
-           (Bytes.to_string r.Recorder.arrivals)
-           arrs;
+         (match drain_reader (Ok m) with
+          | Error e -> Alcotest.failf "drain (chunk=%d): %s" chunk_instances e
+          | Ok (ids, arrs) ->
+            Alcotest.(check (array int)) "ids match recorder"
+              r.Recorder.instances ids;
+            Alcotest.(check string) "arrivals match recorder"
+              (Bytes.to_string r.Recorder.arrivals)
+              arrs);
          Alcotest.(check int) "instances_read" (Recorder.num_instances r)
            (Mapped.instances_read m);
          Alcotest.(check int) "table size" (Recorder.num_paths r)
-           (Path_table.size (Mapped.table m));
-         Alcotest.(check bool) "stats after end" true (Mapped.vm_stats m <> None);
+           (Path_table.size (Stream.table m));
+         Alcotest.(check bool) "stats after end" true (Stream.vm_stats m <> None);
          (* The end state is sticky. *)
          (match Mapped.next_batch m (Batch.create ()) with
           | Ok false -> ()
@@ -695,11 +838,9 @@ let test_mapped_file_and_fallback () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
        Stream.save ~chunk_instances:100 r ~path;
-       (match Mapped.map_file ~path with
+       (match drain_reader (Mapped.map_file ~path) with
         | Error e -> Alcotest.failf "map_file failed: %s" e
-        | Ok m ->
-          let ids, arrs, final = drain_mapped m in
-          Alcotest.(check bool) "clean end" true (final = Ok ());
+        | Ok (ids, arrs) ->
           Alcotest.(check (array int)) "ids via mmap" r.Recorder.instances ids;
           Alcotest.(check string) "arrivals via mmap"
             (Bytes.to_string r.Recorder.arrivals)
@@ -717,64 +858,50 @@ let test_mapped_file_and_fallback () =
         | Ok _ -> Alcotest.fail "mapped a missing file"))
 
 let test_mapped_corpus_agrees_with_pull_reader () =
-  (* The one differential that matters for a second decoder: identical
-     accept/reject decisions on every corpus member (HOTPATH2 members
-     fail the magic in both; corrupt HOTPATH3 members must poison both). *)
+  (* On the files themselves: a real mapping and a pull reader over the
+     same corpus member reach the same verdict, message included. *)
   List.iter
     (fun name ->
-       let contents = read_file (Filename.concat "fixtures" name) in
-       let pull_ok =
-         match Stream.open_string contents with
-         | Error _ -> false
-         | Ok rd -> (match Stream.to_recorder rd with Ok _ -> true | Error _ -> false)
-       in
-       let mapped_ok =
-         match Mapped.of_string contents with
-         | Error _ -> false
-         | Ok m -> (match drain_mapped m with _, _, Ok () -> true | _ -> false)
-       in
-       Alcotest.(check bool)
-         (Printf.sprintf "%s: mapped verdict = pull verdict" name)
-         pull_ok mapped_ok)
+       let path = Filename.concat "fixtures" name in
+       ignore
+         (same_verdict
+            ~feeds:
+              [
+                ("open_file", fun path -> drain_reader (Stream.open_file ~path));
+                ("map_file", fun path -> drain_reader (Mapped.map_file ~path));
+              ]
+            name path
+           : verdict))
     (corpus_files ())
 
 let test_mapped_bitflip_fuzz () =
-  (* 400 random single-bit flips: the per-frame CRC covers every byte,
-     so no mutation may drain to a clean end — Error at open or Error
-     mid-drain, never an exception.  Errors are sticky. *)
+  (* The mapped feed on its own, with its own seed: 400 random
+     single-bit flips, none of which may drain to a clean end.  Errors
+     are sticky ([drain_reader] checks it). *)
   let r = record_fixture () in
   let s = Stream.to_string ~chunk_instances:64 r in
   let rng = Prng.create ~seed:0x3A99ED in
   for case = 1 to 400 do
     let pos = Prng.int rng ~bound:(String.length s) in
     let bit = Prng.int rng ~bound:8 in
-    match Mapped.of_string (flip_bit s ~pos ~bit) with
+    match drain_reader (Mapped.of_string (flip_bit s ~pos ~bit)) with
     | Error _ -> ()
-    | Ok m -> (
-        match drain_mapped m with
-        | _, _, Ok () ->
-          Alcotest.failf "mapped bitflip %d (pos=%d bit=%d) drained clean" case
-            pos bit
-        | _, _, Error e -> (
-            match Mapped.next_batch m (Batch.create ()) with
-            | Error e' -> Alcotest.(check string) "error is sticky" e e'
-            | Ok _ -> Alcotest.fail "poisoned mapped reader recovered"))
+    | Ok _ ->
+      Alcotest.failf "mapped bitflip %d (pos=%d bit=%d) drained clean" case pos
+        bit
   done
 
 let test_mapped_truncation_fuzz () =
-  (* 120 prefixes: every torn write is Error, never a crash or a clean
-     end. *)
+  (* 120 prefixes: every torn write is an error, never a crash or a
+     clean end. *)
   let r = record_fixture () in
   let s = Stream.to_string ~chunk_instances:64 r in
   let n = String.length s in
   for i = 0 to 119 do
     let keep = i * (n - 1) / 119 in
-    match Mapped.of_string (String.sub s 0 keep) with
+    match drain_reader (Mapped.of_string (String.sub s 0 keep)) with
     | Error _ -> ()
-    | Ok m -> (
-        match drain_mapped m with
-        | _, _, Ok () -> Alcotest.failf "truncation to %d drained clean" keep
-        | _, _, Error _ -> ())
+    | Ok _ -> Alcotest.failf "truncation to %d drained clean" keep
   done
 
 let test_run_mapped_matches_run () =
@@ -834,7 +961,7 @@ let test_run_many_mapped_matches_run_many () =
     schemes
 
 let test_run_many_mapped_events_identical () =
-  (* One event stream, three drivers: materialized, pull-streamed, and
+  (* One event stream, three readers: materialized, pull-fed, and
      mapped replay must emit byte-identical samples. *)
   let r = record_fixture () in
   let delays = [ 1; 3; 7; 20; 100 ] in
@@ -848,11 +975,11 @@ let test_run_many_mapped_events_identical () =
     let buf = Buffer.create 4096 in
     let ev = Replay.events ~window:97 (Hotpath_util.Events.of_buffer buf) in
     (match
-       Replay.run_many_stream ~events:ev (module Net) ~delays
-         (stream_of_recorder ~chunk_instances:61 r)
+       Replay.run_many_mapped ~events:ev (module Net) ~delays
+         (Stream.of_recorder ~chunk_instances:61 r)
      with
      | Ok _ -> ()
-     | Error e -> Alcotest.failf "run_many_stream: %s" e);
+     | Error e -> Alcotest.failf "pull replay: %s" e);
     Buffer.contents buf
   in
   let via_mapped () =
@@ -916,6 +1043,8 @@ let suites =
           test_sweep_stream_matches_sweep;
         Alcotest.test_case "replay surfaces decode errors" `Quick
           test_run_stream_surfaces_decode_errors;
+        Alcotest.test_case "FIFO pull replay = run (short reads)" `Quick
+          test_fifo_pull_replay;
       ] );
     ( "trace.stream.fuzz",
       [

@@ -6,6 +6,7 @@ module Stats = Hotpath_util.Stats
 module Tablefmt = Hotpath_util.Tablefmt
 module Pool = Hotpath_util.Pool
 module Bqueue = Hotpath_util.Bqueue
+module Crc32 = Hotpath_util.Crc32
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -431,6 +432,34 @@ let test_bqueue_invalid_capacity () =
     (Invalid_argument "Bqueue.create: capacity must be >= 1")
     (fun () -> ignore (Bqueue.create ~capacity:0 : int Bqueue.t))
 
+let test_crc32_kernels_agree () =
+  (* The slicing-by-4 bigstring kernel, which every HOTPATH3 reader
+     checksums through, against the byte-at-a-time string and bytes
+     loops: the standard check value, then random slices whose lengths
+     cover the 4-byte body and every 0-3 byte tail. *)
+  let check = "123456789" in
+  let big s =
+    let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (String.length s) in
+    String.iteri (fun i c -> b.{i} <- c) s;
+    b
+  in
+  Alcotest.(check int32) "check value" 0xCBF43926l (Crc32.digest_string check);
+  Alcotest.(check int32) "bigstring check value" 0xCBF43926l
+    (Crc32.update_bigstring Crc32.empty (big check) ~pos:0 ~len:9);
+  let rng = Prng.create ~seed:0xC3C in
+  let s = String.init 4096 (fun _ -> Char.chr (Prng.int rng ~bound:256)) in
+  let b = big s in
+  for _ = 1 to 500 do
+    let pos = Prng.int rng ~bound:4096 in
+    let len = Prng.int rng ~bound:(min 64 (4096 - pos) + 1) in
+    let seed = Int32.of_int (Prng.int rng ~bound:0x3FFF_FFFF) in
+    let want = Crc32.update_string seed s ~pos ~len in
+    Alcotest.(check int32) "bigstring = string" want
+      (Crc32.update_bigstring seed b ~pos ~len);
+    Alcotest.(check int32) "bytes = string" want
+      (Crc32.update_bytes seed (Bytes.of_string s) ~pos ~len)
+  done
+
 let suites =
   [
     ( "util.prng",
@@ -498,5 +527,10 @@ let suites =
         Alcotest.test_case "clear" `Quick test_bqueue_clear;
         Alcotest.test_case "invalid capacity" `Quick
           test_bqueue_invalid_capacity;
+      ] );
+    ( "util.crc32",
+      [
+        Alcotest.test_case "bigstring kernel = byte loop" `Quick
+          test_crc32_kernels_agree;
       ] );
   ]
