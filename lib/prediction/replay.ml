@@ -1,17 +1,15 @@
 module Recorder = Hotpath_trace.Recorder
-module Path = Hotpath_trace.Path
-module Path_table = Hotpath_trace.Path_table
 module Batch = Hotpath_trace.Batch
+module Stream = Hotpath_trace.Serialize.Stream
 module Cfg = Hotpath_cfg.Cfg
 module Vec = Hotpath_util.Vec
 module Events = Hotpath_util.Events
 module Pool = Hotpath_util.Pool
 
-(* The shared per-lane replay vocabulary — prediction/outcome records,
-   events configuration, the window sampler — lives in [Session], whose
-   online push API is the primitive this batch engine drives.  The
-   equations re-export the records so existing field accesses compile
-   against either module. *)
+(* The per-lane replay state and the lane loops live in [Session]; this
+   module drives sessions over a source of batches.  The equations
+   re-export the records so existing field accesses compile against
+   either module. *)
 
 type prediction = Session.prediction = { target : int; at_instance : int }
 
@@ -30,10 +28,6 @@ type outcome = Session.outcome = {
   collection_ops : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Observability                                                       *)
-(* ------------------------------------------------------------------ *)
-
 type events = Session.events = {
   ev_sink : Events.sink;
   ev_window : int;
@@ -44,84 +38,21 @@ let default_events_window = Session.default_events_window
 
 let events = Session.events
 
-module Sampler = Session.Sampler
-
-(* Logical instance-stream reads performed by [run]/[run_many], for the
-   one-pass guarantee: multiplexing k delays must read the trace once,
-   not k times.  Atomic because experiment fan-out replays from several
+(* Logical instance-stream reads performed by replay, for the one-pass
+   guarantee: multiplexing k delays must read the trace once, not k
+   times.  Atomic because experiment fan-out replays from several
    domains.  The count is per logical traversal and independent of
-   [?jobs]: a chunk-sharded run still consumes the stream once (phase A
-   reads each chunk exactly once; lane groups replay cache-resident
-   chunk buffers, not the stream). *)
+   [?jobs]: every lane group replays the same batch, and the fast
+   engines read each instance once. *)
 let reads = Atomic.make 0
 
 let instance_reads () = Atomic.get reads
 
 let reset_instance_reads () = Atomic.set reads 0
 
-let live = Session.live
-
 (* ------------------------------------------------------------------ *)
-(* Lane plumbing                                                       *)
+(* Lane groups                                                         *)
 (* ------------------------------------------------------------------ *)
-
-(* A lane runner replays the instance stream for a subset of the delay
-   lanes, accumulating path frequencies into [freq] along the way and
-   sampling through [ev]'s sink.  Both the generic functor below and the
-   monomorphized kernels produce one; the sharding driver [drive] is the
-   single owner of chunking, domain fan-out, event reconciliation, and
-   outcome assembly. *)
-type lane_result = {
-  lr_predictions : prediction array;
-  lr_predicted_at : int array;
-  lr_captured : int array;
-  lr_profiled : int;
-  lr_captured_total : int;
-  lr_counter_space : int;
-  lr_profiling_ops : int;
-  lr_collection_ops : int;
-}
-
-(* A chunk walker owns the full replay state for its lanes and replays
-   instance-stream chunks [lo, hi) in ascending order.  All state — lane
-   counters, predicted-at marks, sampler cursors — carries across calls,
-   so walking [0, n) in one call or in many contiguous chunks is the
-   same computation; the chunk boundary is pure loop tiling here.
-   [cw_finish] emits the final event samples and packages the results.
-
-   [cw_walk_batch], when present, is the same walk over a pre-decoded
-   dense {!Batch.t} whose instance 0 sits at global index [base]: the
-   driver decodes each chunk once (ids, widened arrival codes, gathered
-   per-path descriptors) and every lane group replays the cache-resident
-   batch instead of re-reading the recording — the compressed-chunk
-   trick the NET/path-profile fast engines use, generalized to walkers
-   whose scheme state is opaque.  Walkers without batch support (the
-   monomorphized kernels, which either have a fast engine or flatten
-   their own state) leave it [None]. *)
-type chunk_walker = {
-  cw_walk : lo:int -> hi:int -> unit;
-  cw_walk_batch : (Batch.t -> base:int -> unit) option;
-  cw_finish : unit -> lane_result array;
-}
-
-(* Built-in kernels whose per-lane state is dense and seam-mergeable get
-   the compressed stream-sharded engine below.  [Last_executed_tail] is
-   the exception: at a trip it predicts a path other than the tripping
-   one, and captured accounting then needs that other path's occurrence
-   count at the trip index, which the compressed phase-A stream does not
-   carry — it replays through the chunked per-instance walker instead. *)
-type fast = Fast_net_rearm | Fast_net_once | Fast_pp
-
-type lane_runner = {
-  lr_scheme : string;
-  lr_make :
-    ev:events option ->
-    lanes:int array ->
-    freq:int array ->
-    Recorder.t ->
-    chunk_walker;
-  lr_fast : fast option;
-}
 
 (* Contiguous lane slices, sizes differing by at most one. *)
 let shard_slices lanes shards =
@@ -134,12 +65,12 @@ let shard_slices lanes shards =
       off := !off + len;
       slice)
 
-(* Every shard's sampler emits, per window round, one line per lane in
-   lane order, and all lanes across all shards hit the same window
-   boundaries (same trace length, same window).  Shards hold contiguous
+(* Every group's sampler emits, per window round, one line per lane in
+   lane order, and all lanes across all groups hit the same window
+   boundaries (same trace length, same window).  Groups hold contiguous
    lane slices, so the serial stream — round-major, lane-minor over the
    global lane order — is recovered by concatenating each round's
-   per-shard groups in shard order. *)
+   per-group lines in group order. *)
 let merge_event_lines sink slices bufs =
   let rounds =
     let k0 = Array.length slices.(0) in
@@ -161,15 +92,162 @@ let merge_event_lines sink slices bufs =
   done
 
 (* ------------------------------------------------------------------ *)
+(* The driver                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Chunks large enough to amortize per-chunk work, small enough that a
+   batch (and the fast engines' per-chunk buffers) stays L2-resident
+   while every lane group replays it. *)
+let default_chunk = 65_536
+
+(* The slice a single lane group copies a recording in.  Every replay
+   allocates its batch in the major heap, and that allocation paces the
+   major GC: a [default_chunk] batch is about seven times the words a
+   single lane allocates, enough to start a major cycle (which marks
+   the recording's own arrays) every few dozen replays.  This size
+   keeps the batch cache-resident and the allocation small; a fan-out
+   keeps [chunk]-sized slices to amortize handing each batch to other
+   domains. *)
+let single_group_slice = 4_096
+
+(* Where the batches come from: a recording, cut into slices of [chunk]
+   instances, or a HOTPATH3 reader, one instance frame per batch. *)
+type source = Recording of int * Recorder.t | Reader of Stream.reader
+
+(* Copy instances [base, base + m) of a recording into batch slots
+   [0, m).  A function of its own, so the loop keeps every array in a
+   register rather than re-reading a closure's environment per
+   instance. *)
+let copy_slice (instances : int array) arrivals base (ids : int array)
+    (arrs : int array) m =
+  for j = 0 to m - 1 do
+    Array.unsafe_set ids j (Array.unsafe_get instances (base + j));
+    Array.unsafe_set arrs j (Char.code (Bytes.unsafe_get arrivals (base + j)))
+  done
+
+(* The source's one cursor: each call refills the batch with the next
+   slice ([Ok false] at the end). *)
+let cursor = function
+  | Reader rd -> Stream.next_batch rd
+  | Recording (chunk, r) ->
+    let instances = r.Recorder.instances and arrivals = r.Recorder.arrivals in
+    let n = Array.length instances and off = ref 0 in
+    fun (b : Batch.t) ->
+      if !off >= n then Ok false
+      else begin
+        let base = !off in
+        let m = min chunk (n - base) in
+        Batch.ensure b m;
+        copy_slice instances arrivals base b.Batch.ids b.Batch.arrs m;
+        Batch.set_length b m;
+        off := base + m;
+        Ok true
+      end
+
+let push sess b =
+  match Session.push_batch sess b with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Replay: " ^ e)
+
+(* One driver for every source.  Each lane group — one [Session] over a
+   contiguous slice of the delays, as many groups as the machine's
+   domain budget allows — replays the whole stream, all lane state
+   carried across batch seams inside its session, so results and the
+   merged event stream are byte-identical at every job count and batch
+   size.  The source's one cursor fills one batch, which is fanned out
+   to every group (sessions only read the batch and the table during a
+   push, and the cursor refills the batch and grows the table only
+   between fan-outs); a single group runs inline.  An empty delay list
+   never touches the source. *)
+let drive ?events ~jobs scheme ~delays src =
+  let ev = Session.live events in
+  match Array.of_list delays with
+  | [||] -> Ok []
+  | lanes ->
+    let program, table =
+      match src with
+      | Recording (_, r) -> (r.Recorder.program, r.Recorder.table)
+      | Reader rd -> (Stream.program rd, Stream.table rd)
+    in
+    let workers = min (Pool.effective_workers ~jobs) (Array.length lanes) in
+    let slices =
+      if workers <= 1 then [| lanes |] else shard_slices lanes workers
+    in
+    let ng = Array.length slices in
+    let bufs = Array.map (fun _ -> Vec.create ()) slices in
+    let sessions =
+      Array.mapi
+        (fun s slice ->
+           (* Sampling goes to the group's line buffer, directly to the
+              sink when there is a single group. *)
+           let ev_s =
+             if ng = 1 then ev
+             else
+               Option.map
+                 (fun e -> { e with ev_sink = Events.of_fn (Vec.push bufs.(s)) })
+                 ev
+           in
+           (* Every source has validated ids and arrival codes already;
+              linting belongs to callers that opt in (sessions over a
+              socket), not to every replay. *)
+           match
+             Session.create ?events:ev_s ~lint:false scheme
+               ~delays:(Array.to_list slice) ~program ~table
+           with
+           | Ok sess -> sess
+           | Error _ -> assert false (* lint off: create cannot fail *))
+        slices
+    in
+    let src =
+      match src with
+      | Recording (chunk, r) when ng = 1 ->
+        Recording (min chunk single_group_slice, r)
+      | src -> src
+    in
+    (* Sized for a whole slice up front, so a recording's batch never
+       grows through a chain of discarded arrays. *)
+    let capacity =
+      match src with
+      | Recording (chunk, r) -> min chunk (Recorder.num_instances r)
+      | Reader _ -> 1024
+    in
+    let fill = cursor src and b = Batch.create ~capacity () in
+    let rec fan_out () =
+      match fill b with
+      | Error _ as e -> e
+      | Ok false -> Ok ()
+      | Ok true ->
+        ignore (Atomic.fetch_and_add reads (Batch.length b));
+        ignore (Pool.map_array ~jobs:ng (fun sess -> push sess b) sessions);
+        fan_out ()
+    in
+    Result.map
+      (fun () ->
+         let outcomes =
+           Array.to_list sessions |> List.concat_map Session.finish
+         in
+         if ng > 1 then
+           Option.iter (fun e -> merge_event_lines e.ev_sink slices bufs) ev;
+         outcomes)
+      (fan_out ())
+
+let check_run_many ~jobs ~chunk =
+  if jobs < 1 then invalid_arg "Replay.run_many: jobs must be >= 1";
+  if chunk < 1 then invalid_arg "Replay.run_many: chunk must be >= 1"
+
+let replay_recording ?events ~jobs ~chunk scheme ~delays r =
+  check_run_many ~jobs ~chunk;
+  match drive ?events ~jobs scheme ~delays (Recording (chunk, r)) with
+  | Ok os -> os
+  | Error e -> invalid_arg ("Replay.run_many: " ^ e)
+
+(* ------------------------------------------------------------------ *)
 (* Stream-sharded fast engines                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* [drive] used to shard the *delay lanes*: each of [min jobs k] domains
-   re-walked the entire trace for a contiguous lane slice, so jobs > 1
-   multiplied total work by the shard count and wall time *grew* with
-   jobs whenever domains outnumbered cores (BENCH_replay.json recorded
-   the net kernel falling from 43.3M instances/s at jobs=1 to 31.7M at
-   jobs=4).  The engines below shard the *instance stream* instead:
+(* At jobs > 1 with events off, the NET (re-arm and once) and
+   path-profile kernels replay a recording from a compressed form of
+   the instance stream instead of through sessions:
 
    - Phase A walks the stream exactly once, compressing it — for NET,
      into the recording-level loop index ([Recorder.loop_index]: the
@@ -200,12 +278,8 @@ let merge_event_lines sink slices bufs =
    because a predicted path's later instances are captured by
    definition, and for these kernels the predicted path is the tripping
    path itself, whose occurrence count phase A already carries.
-
-   Per-chunk buffers are reused and sized to the chunk, so phase C reads
-   cache-resident data where the lane-sharded loops streamed the whole
-   trace from memory once per shard — which is why jobs > 1 beats the
-   fused serial kernel even on a single core: it does strictly less
-   work per lane, not merely the same work elsewhere. *)
+   Last-executed-tail predicts a path other than the tripping one, so
+   it has no fast engine. *)
 module Fast = struct
   let lane_groups k workers =
     shard_slices (Array.init k Fun.id) (max 1 (min workers k))
@@ -219,37 +293,54 @@ module Fast = struct
     | 1 -> process groups.(0)
     | ng -> ignore (Pool.map_array ~jobs:ng process groups)
 
-  let net variant ~lanes ~chunk:_ ~workers ~freq (r : Recorder.t) =
+  let outcomes ~scheme ~lanes ~n ~freq ~preds ~pa ~captured ~total
+      ~counter_space ~profiling_ops ~collection_ops =
+    List.init (Array.length lanes) (fun l ->
+        {
+          scheme_name = scheme;
+          delay = lanes.(l);
+          total_instances = n;
+          predictions = Vec.to_array preds.(l);
+          predicted_at = pa.(l);
+          freq = (if l = 0 then freq else Array.copy freq);
+          captured = captured.(l);
+          profiled_instances = n - total.(l);
+          captured_instances = total.(l);
+          counter_space = counter_space l;
+          profiling_ops = profiling_ops l;
+          collection_ops = collection_ops l;
+        })
+
+  let net ~once ~scheme ~lanes ~workers (r : Recorder.t) =
     let k = Array.length lanes in
     let n_paths = Recorder.num_paths r in
     let n_blocks = Array.length r.Recorder.program.Cfg.blocks in
     let d = Recorder.descriptors r in
     let heads = d.Recorder.d_heads and blocks = d.Recorder.d_blocks in
     let n = Array.length r.Recorder.instances in
-    let v_once = variant = Fast_net_once in
     (* Phase A is the recording-level loop index: the loop-head event
        stream grouped into maximal same-path runs, plus final
        frequencies — built once per recording ([Recorder.loop_index]
        caches it) and shared by every lane group, every delay set, and
        every subsequent replay of the same recording.  A maximal run is
-       just the chunk-truncated runs of the old per-chunk phase A
-       merged: splitting a run anywhere yields two shorter runs
-       advancing the same carried counter, so phase C is bit-identical
-       on either form and the chunk loop disappears entirely. *)
+       just the chunk-truncated runs of a per-chunk phase A merged:
+       splitting a run anywhere yields two shorter runs advancing the
+       same carried counter, so phase C is bit-identical on either form
+       and needs no chunk loop. *)
     let li = Recorder.loop_index r in
     let ev_idx = li.Recorder.li_idx in
     let ev_occ = li.Recorder.li_occ in
     let run_pid = li.Recorder.li_run_pid in
     let run_off = li.Recorder.li_run_off in
     let run_len = li.Recorder.li_run_len in
-    Array.blit li.Recorder.li_freq 0 freq 0 n_paths;
+    let freq = Array.copy li.Recorder.li_freq in
     let nr = Array.length run_pid in
     (* Per-lane state. *)
     let pa = Array.init k (fun _ -> Array.make n_paths max_int) in
     let cap_base = Array.init k (fun _ -> Array.make n_paths 0) in
     let counts = Array.init k (fun _ -> Array.make n_blocks (-1)) in
     let retired =
-      Array.init k (fun _ -> if v_once then Array.make n_blocks false else [||])
+      Array.init k (fun _ -> if once then Array.make n_blocks false else [||])
     in
     let seen = Array.make k 0 in
     let ops = Array.make k 0 in
@@ -264,7 +355,9 @@ module Fast = struct
        constraint), while the per-lane counter state is small enough to
        stay cache-resident across the inner loop. *)
     let process_group g =
-      (* Hot closure captures into locals (see Net_kernel.make_walker). *)
+      (* Hoist the closure captures into locals: [opaque_identity] stops
+         the simplifier from substituting the aliases back into
+         per-iteration environment reads. *)
       let run_pid = Sys.opaque_identity run_pid
       and run_off = Sys.opaque_identity run_off
       and run_len = Sys.opaque_identity run_len
@@ -281,7 +374,7 @@ module Fast = struct
       and ops = Sys.opaque_identity ops
       and coll = Sys.opaque_identity coll
       and preds = Sys.opaque_identity preds
-      and v_once = Sys.opaque_identity v_once in
+      and once = Sys.opaque_identity once in
       let gk = Array.length g in
       for ri = 0 to nr - 1 do
         let pid = Array.unsafe_get run_pid ri in
@@ -293,7 +386,7 @@ module Fast = struct
           let pal = Array.unsafe_get pa l in
           (* Predicted path => the whole run is captured flow: skip. *)
           if Array.unsafe_get pal pid = max_int then
-            if not (v_once && Array.unsafe_get (Array.unsafe_get retired l) h)
+            if not (once && Array.unsafe_get (Array.unsafe_get retired l) h)
             then begin
               let cl = Array.unsafe_get counts l in
               let c0 = Array.unsafe_get cl h in
@@ -316,7 +409,7 @@ module Fast = struct
                 let e = delay - c0 in
                 Array.unsafe_set ops l (Array.unsafe_get ops l + e);
                 Array.unsafe_set cl h 0;
-                if v_once then
+                if once then
                   Array.unsafe_set (Array.unsafe_get retired l) h true;
                 let at = Array.unsafe_get ev_idx (off + e - 1) in
                 Array.unsafe_set pal pid at;
@@ -333,40 +426,36 @@ module Fast = struct
       done
     in
     process_group |> run_groups groups;
-    Array.init k (fun l ->
-        let captured = Array.make n_paths 0 in
-        let pal = pa.(l) and cb = cap_base.(l) in
-        let total = ref 0 in
-        for pid = 0 to n_paths - 1 do
-          if Array.unsafe_get pal pid <> max_int then begin
-            let c = Array.unsafe_get freq pid - Array.unsafe_get cb pid in
-            Array.unsafe_set captured pid c;
-            total := !total + c
-          end
-        done;
-        {
-          lr_predictions = Vec.to_array preds.(l);
-          lr_predicted_at = pal;
-          lr_captured = captured;
-          lr_profiled = n - !total;
-          lr_captured_total = !total;
-          lr_counter_space = seen.(l);
-          lr_profiling_ops = ops.(l);
-          lr_collection_ops = coll.(l);
-        })
+    let total = Array.make k 0 in
+    let captured =
+      Array.init k (fun l ->
+          let captured = Array.make n_paths 0 in
+          let pal = pa.(l) and cb = cap_base.(l) in
+          for pid = 0 to n_paths - 1 do
+            if Array.unsafe_get pal pid <> max_int then begin
+              let c = Array.unsafe_get freq pid - Array.unsafe_get cb pid in
+              Array.unsafe_set captured pid c;
+              total.(l) <- total.(l) + c
+            end
+          done;
+          captured)
+    in
+    outcomes ~scheme ~lanes ~n ~freq ~preds ~pa ~captured ~total
+      ~counter_space:(Array.get seen) ~profiling_ops:(Array.get ops)
+      ~collection_ops:(Array.get coll)
 
   (* Path-profile predicts a path at exactly its [delay]-th profiled
      occurrence (its first [min freq delay] occurrences are profiled,
      the rest captured), so phase A only records threshold crossings —
      (path, occurrence, index) triggers — and everything else is closed
      form over the final [freq]. *)
-  let path_profile ~lanes ~chunk ~workers ~freq (r : Recorder.t) =
+  let path_profile ~scheme ~lanes ~chunk ~workers (r : Recorder.t) =
     let k = Array.length lanes in
     let n_paths = Recorder.num_paths r in
-    let d = Recorder.descriptors r in
-    let branches = d.Recorder.d_branches in
+    let branches = (Recorder.descriptors r).Recorder.d_branches in
     let instances = r.Recorder.instances in
     let n = Array.length instances in
+    let freq = Array.make n_paths 0 in
     let csz = max 1 (min chunk n) in
     (* Occurrence counts never exceed n, so delays beyond n can never
        trigger and need no slot in the membership table. *)
@@ -381,7 +470,6 @@ module Fast = struct
     let groups = lane_groups k workers in
     let n_triggers = ref 0 in
     let process_group g =
-      (* Hot closure captures into locals (see Net_kernel.make_walker). *)
       let tr_pid = Sys.opaque_identity tr_pid
       and tr_occ = Sys.opaque_identity tr_occ
       and tr_idx = Sys.opaque_identity tr_idx in
@@ -420,365 +508,80 @@ module Fast = struct
       process_group |> run_groups groups;
       lo := hi
     done;
-    let seen = ref 0 in
-    for pid = 0 to n_paths - 1 do
-      if freq.(pid) > 0 then incr seen
-    done;
-    let seen = !seen in
-    Array.init k (fun l ->
-        let delay = lanes.(l) in
-        let captured = Array.make n_paths 0 in
-        let pal = pa.(l) in
-        let total = ref 0 and ops = ref 0 in
-        for pid = 0 to n_paths - 1 do
-          let f = Array.unsafe_get freq pid in
-          let profiled_occ = if f < delay then f else delay in
-          ops := !ops + (profiled_occ * (Array.unsafe_get branches pid + 1));
-          if Array.unsafe_get pal pid <> max_int then begin
-            let c = f - delay in
-            Array.unsafe_set captured pid c;
-            total := !total + c
-          end
-        done;
-        {
-          lr_predictions = Vec.to_array preds.(l);
-          lr_predicted_at = pal;
-          lr_captured = captured;
-          lr_profiled = n - !total;
-          lr_captured_total = !total;
-          lr_counter_space = seen;
-          lr_profiling_ops = !ops;
-          lr_collection_ops = 0;
-        })
+    let seen = Array.fold_left (fun s f -> if f > 0 then s + 1 else s) 0 freq in
+    let total = Array.make k 0 and ops = Array.make k 0 in
+    let captured =
+      Array.init k (fun l ->
+          let delay = lanes.(l) in
+          let captured = Array.make n_paths 0 in
+          let pal = pa.(l) in
+          for pid = 0 to n_paths - 1 do
+            let f = Array.unsafe_get freq pid in
+            let profiled_occ = if f < delay then f else delay in
+            ops.(l) <- ops.(l) + (profiled_occ * (Array.unsafe_get branches pid + 1));
+            if Array.unsafe_get pal pid <> max_int then begin
+              let c = f - delay in
+              Array.unsafe_set captured pid c;
+              total.(l) <- total.(l) + c
+            end
+          done;
+          captured)
+    in
+    outcomes ~scheme ~lanes ~n ~freq ~preds ~pa ~captured ~total
+      ~counter_space:(fun _ -> seen) ~profiling_ops:(Array.get ops)
+      ~collection_ops:(fun _ -> 0)
 end
 
-(* Chunks large enough to amortize per-chunk work, small enough that the
-   phase-A buffers (a few machine words per instance) stay L2-resident
-   while every lane group replays them. *)
-let default_chunk = 65_536
+(* ------------------------------------------------------------------ *)
+(* Entry points                                                        *)
+(* ------------------------------------------------------------------ *)
 
-let drive ?events:ev ?(jobs = 1) ?(chunk = default_chunk)
-    (runner : lane_runner) ~delays (r : Recorder.t) =
-  if jobs < 1 then invalid_arg "Replay.run_many: jobs must be >= 1";
-  if chunk < 1 then invalid_arg "Replay.run_many: chunk must be >= 1";
-  let ev = live ev in
-  match Array.of_list delays with
-  | [||] -> []
-  | lanes ->
-    let k = Array.length lanes in
-    let n = Array.length r.Recorder.instances in
-    let n_paths = Recorder.num_paths r in
-    let assemble lrs freq =
-      List.init k (fun l ->
-          let lr = lrs.(l) in
-          {
-            scheme_name = runner.lr_scheme;
-            delay = lanes.(l);
-            total_instances = n;
-            predictions = lr.lr_predictions;
-            predicted_at = lr.lr_predicted_at;
-            freq = (if l = 0 then freq else Array.copy freq);
-            captured = lr.lr_captured;
-            profiled_instances = lr.lr_profiled;
-            captured_instances = lr.lr_captured_total;
-            counter_space = lr.lr_counter_space;
-            profiling_ops = lr.lr_profiling_ops;
-            collection_ops = lr.lr_collection_ops;
-          })
-    in
-    (* One logical traversal of the stream regardless of [jobs]. *)
-    ignore (Atomic.fetch_and_add reads n);
+let run_many ?events ?(jobs = 1) ?(chunk = default_chunk)
+    (module S : Scheme.S) ~delays (r : Recorder.t) =
+  check_run_many ~jobs ~chunk;
+  let fast_eligible =
+    jobs > 1 && delays <> [] && Session.live events = None
+  in
+  match Session.kernel (module S) with
+  | (Session.Net_kernel (Rearm | Once) | Session.Path_profile_kernel) as kernel
+    when fast_eligible ->
+    (* The engines do not validate delays; keep the scheme's own
+       validation (and exception message) for the invalid ones. *)
+    List.iter
+      (fun d -> if d < 1 then ignore (S.create ~delay:d ~program:r.Recorder.program))
+      delays;
+    ignore (Atomic.fetch_and_add reads (Recorder.num_instances r));
+    let lanes = Array.of_list delays in
     (* Fan-out width: the [jobs] ask clamped to the machine's domain
-       budget and the lane count — never oversubscribed.  Results are
-       worker-count independent (lanes never interact), so clamping is
-       pure scheduling. *)
-    let workers = min (Pool.effective_workers ~jobs) k in
-    let serial_walk w =
-      w.cw_walk ~lo:0 ~hi:n;
-      w.cw_finish ()
-    in
-    if jobs = 1 then begin
-      let freq = Array.make n_paths 0 in
-      assemble (serial_walk (runner.lr_make ~ev ~lanes ~freq r)) freq
-    end
-    else begin
-      match runner.lr_fast with
-      | Some fast when ev = None ->
-        let freq = Array.make n_paths 0 in
-        let lrs =
-          match fast with
-          | Fast_net_rearm | Fast_net_once ->
-            Fast.net fast ~lanes ~chunk ~workers ~freq r
-          | Fast_pp -> Fast.path_profile ~lanes ~chunk ~workers ~freq r
-        in
-        assemble lrs freq
-      | _ when workers <= 1 ->
-        (* One worker: a single walker over all lanes, chunk-tiled so
-           the seam path stays the one exercised at any job count. *)
-        let freq = Array.make n_paths 0 in
-        let w = runner.lr_make ~ev ~lanes ~freq r in
-        let lo = ref 0 in
-        while !lo < n do
-          let hi = min n (!lo + chunk) in
-          w.cw_walk ~lo:!lo ~hi;
-          lo := hi
-        done;
-        assemble (w.cw_finish ()) freq
-      | _ ->
-        (* Per-instance walkers (events enabled, Last_executed_tail, or
-           a non-built-in scheme): scheme state is opaque or the sampler
-           needs per-instance order, so each lane group replays the
-           chunk-tiled stream itself.  Sampling goes to a per-group line
-           buffer, merged after the join; each group accumulates its own
-           (identical) freq. *)
-        let slices = shard_slices lanes workers in
-        let bufs = Array.map (fun _ -> Vec.create ()) slices in
-        let freqs = Array.map (fun _ -> Array.make n_paths 0) slices in
-        let walkers =
-          Array.mapi
-            (fun s slice ->
-               let ev_s =
-                 Option.map
-                   (fun e ->
-                      { e with ev_sink = Events.of_fn (Vec.push bufs.(s)) })
-                   ev
-               in
-               runner.lr_make ~ev:ev_s ~lanes:slice ~freq:freqs.(s) r)
-            slices
-        in
-        let lrs =
-          if Array.for_all (fun w -> w.cw_walk_batch <> None) walkers then begin
-            (* Compressed-chunk fan-out for opaque-state walkers: decode
-               each chunk once into a shared dense batch (ids, widened
-               arrival codes, gathered descriptors), then let every lane
-               group replay the cache-resident batch.  The groups read
-               the batch concurrently and never write it; the driver
-               refills it only after the fan-out joins. *)
-            let d = Recorder.descriptors r in
-            let dh = d.Recorder.d_heads
-            and dbr = d.Recorder.d_branches
-            and dbl = d.Recorder.d_blocks in
-            let instances = r.Recorder.instances in
-            let arrivals = r.Recorder.arrivals in
-            let batch = Batch.create ~capacity:(max 1 (min chunk n)) () in
-            let walks =
-              Array.map (fun w -> Option.get w.cw_walk_batch) walkers
-            in
-            let lo = ref 0 in
-            while !lo < n do
-              let hi = min n (!lo + chunk) in
-              let m = hi - !lo in
-              Batch.ensure batch m;
-              Batch.ensure_descriptors batch m;
-              let ids = batch.Batch.ids
-              and arrs = batch.Batch.arrs
-              and bh = batch.Batch.heads
-              and bbr = batch.Batch.branches
-              and bbl = batch.Batch.blocks in
-              let base = !lo in
-              for j = 0 to m - 1 do
-                let pid = Array.unsafe_get instances (base + j) in
-                Array.unsafe_set ids j pid;
-                Array.unsafe_set arrs j
-                  (Char.code (Bytes.unsafe_get arrivals (base + j)));
-                Array.unsafe_set bh j (Array.unsafe_get dh pid);
-                Array.unsafe_set bbr j (Array.unsafe_get dbr pid);
-                Array.unsafe_set bbl j (Array.unsafe_get dbl pid)
-              done;
-              Batch.set_length batch m;
-              ignore
-                (Pool.map_array ~jobs:workers (fun wb -> wb batch ~base) walks);
-              lo := hi
-            done;
-            Array.map (fun w -> w.cw_finish ()) walkers
-          end
-          else
-            Pool.map_array ~jobs:workers
-              (fun w ->
-                 let lo = ref 0 in
-                 while !lo < n do
-                   let hi = min n (!lo + chunk) in
-                   w.cw_walk ~lo:!lo ~hi;
-                   lo := hi
-                 done;
-                 w.cw_finish ())
-              walkers
-        in
-        Option.iter (fun e -> merge_event_lines e.ev_sink slices bufs) ev;
-        assemble (Array.concat (Array.to_list lrs)) freqs.(0)
-    end
+       budget and the lane count. *)
+    let workers = min (Pool.effective_workers ~jobs) (Array.length lanes) in
+    if kernel = Session.Path_profile_kernel then
+      Fast.path_profile ~scheme:S.name ~lanes ~chunk ~workers r
+    else
+      Fast.net ~once:(kernel = Session.Net_kernel Once) ~scheme:S.name ~lanes
+        ~workers r
+  | _ -> replay_recording ?events ~jobs ~chunk (module S) ~delays r
 
-(* ------------------------------------------------------------------ *)
-(* Generic kernel: one compilation of the multiplexed loop per scheme   *)
-(* ------------------------------------------------------------------ *)
+let run ?events scheme ~delay r =
+  match run_many ?events scheme ~delays:[ delay ] r with
+  | [ o ] -> o
+  | _ -> assert false
 
 module Make (S : Scheme.S) = struct
-  let make_walker ~ev ~lanes ~freq (r : Recorder.t) =
-    let k = Array.length lanes in
-    let n_paths = Recorder.num_paths r in
-    let d = Recorder.descriptors r in
-    let heads = d.Recorder.d_heads
-    and branches = d.Recorder.d_branches
-    and blocks = d.Recorder.d_blocks in
-    let arrivals = Recorder.arrival_view r in
-    let states =
-      Array.map (fun delay -> S.create ~delay ~program:r.Recorder.program) lanes
-    in
-    let predicted_at = Array.init k (fun _ -> Array.make n_paths max_int) in
-    let captured = Array.init k (fun _ -> Array.make n_paths 0) in
-    let predictions = Array.init k (fun _ -> Vec.create ()) in
-    let profiled = Array.make k 0 in
-    let captured_total = Array.make k 0 in
-    let instances = r.Recorder.instances in
-    let n = Array.length instances in
-    let sampler =
-      Option.map (fun e -> Sampler.create e ~scheme:S.name ~delays:lanes) ev
-    in
-    let next_sample =
-      ref (match ev with None -> max_int | Some e -> e.ev_window)
-    in
-    let sample_lanes f upto =
-      match sampler with
-      | None -> ()
-      | Some sm ->
-        for l = 0 to k - 1 do
-          f sm l ~upto ~n_paths ~captured_arr:captured.(l)
-            ~predictions:(Vec.length predictions.(l))
-            ~profiled:profiled.(l) ~captured_total:captured_total.(l)
-            ~counter_space:(S.counter_space states.(l))
-            ~profiling_ops:(S.profiling_ops states.(l))
-            ~collection_ops:(S.collection_ops states.(l))
-        done
-    in
-    let walk ~lo ~hi =
-      (* Hoist the hot closure captures into locals ([opaque_identity]
-         keeps the simplifier from substituting the aliases back into
-         per-iteration env reads — worth ~15% on this loop). *)
-      let instances = Sys.opaque_identity instances
-      and arrivals = Sys.opaque_identity arrivals
-      and heads = Sys.opaque_identity heads
-      and branches = Sys.opaque_identity branches
-      and blocks = Sys.opaque_identity blocks
-      and freq = Sys.opaque_identity freq
-      and states = Sys.opaque_identity states
-      and predicted_at = Sys.opaque_identity predicted_at
-      and captured = Sys.opaque_identity captured
-      and predictions = Sys.opaque_identity predictions
-      and profiled = Sys.opaque_identity profiled
-      and captured_total = Sys.opaque_identity captured_total
-      and next_sample = Sys.opaque_identity next_sample
-      and k = Sys.opaque_identity k in
-      for i = lo to hi - 1 do
-        let pid = instances.(i) in
-        freq.(pid) <- freq.(pid) + 1;
-        let head = heads.(pid)
-        and n_branches = branches.(pid)
-        and n_blocks = blocks.(pid)
-        and arrival = arrivals.(i) in
-        for l = 0 to k - 1 do
-          let pa = predicted_at.(l) in
-          if pa.(pid) < i then begin
-            let cap = captured.(l) in
-            cap.(pid) <- cap.(pid) + 1;
-            captured_total.(l) <- captured_total.(l) + 1
-          end
-          else begin
-            profiled.(l) <- profiled.(l) + 1;
-            match
-              S.observe states.(l) ~head ~arrival ~path_id:pid ~n_branches
-                ~n_blocks
-            with
-            | Some target when pa.(target) = max_int ->
-              pa.(target) <- i;
-              S.collect states.(l) ~n_blocks:blocks.(target);
-              Vec.push predictions.(l) { target; at_instance = i }
-            | Some _ | None -> ()
-          end
-        done;
-        if i + 1 >= !next_sample then begin
-          sample_lanes Sampler.sample (i + 1);
-          next_sample := !next_sample + (Option.get ev).ev_window
-        end
-      done
-    in
-    let walk_batch (b : Batch.t) ~base =
-      (* [walk] over the driver's pre-decoded batch: ids, arrival codes,
-         and the per-path descriptors arrive as dense per-instance
-         arrays, so the hot loop reads sequentially instead of chasing
-         [heads]/[branches]/[blocks] through a path-id indirection per
-         instance.  [base + j] is the instance's global index — sampler
-         windows and prediction indices stay stream-absolute.  The batch
-         is the driver's scratch: read-only here, never retained. *)
-      let ids = Sys.opaque_identity b.Batch.ids
-      and arrs = Sys.opaque_identity b.Batch.arrs
-      and b_heads = Sys.opaque_identity b.Batch.heads
-      and b_branches = Sys.opaque_identity b.Batch.branches
-      and b_blocks = Sys.opaque_identity b.Batch.blocks
-      and m = Sys.opaque_identity (Batch.length b)
-      and blocks = Sys.opaque_identity blocks
-      and freq = Sys.opaque_identity freq
-      and states = Sys.opaque_identity states
-      and predicted_at = Sys.opaque_identity predicted_at
-      and captured = Sys.opaque_identity captured
-      and predictions = Sys.opaque_identity predictions
-      and profiled = Sys.opaque_identity profiled
-      and captured_total = Sys.opaque_identity captured_total
-      and next_sample = Sys.opaque_identity next_sample
-      and k = Sys.opaque_identity k in
-      for j = 0 to m - 1 do
-        let i = base + j in
-        let pid = ids.(j) in
-        freq.(pid) <- freq.(pid) + 1;
-        let head = b_heads.(j)
-        and n_branches = b_branches.(j)
-        and n_blocks = b_blocks.(j)
-        and arrival = Batch.kind_of_code arrs.(j) in
-        for l = 0 to k - 1 do
-          let pa = predicted_at.(l) in
-          if pa.(pid) < i then begin
-            let cap = captured.(l) in
-            cap.(pid) <- cap.(pid) + 1;
-            captured_total.(l) <- captured_total.(l) + 1
-          end
-          else begin
-            profiled.(l) <- profiled.(l) + 1;
-            match
-              S.observe states.(l) ~head ~arrival ~path_id:pid ~n_branches
-                ~n_blocks
-            with
-            | Some target when pa.(target) = max_int ->
-              pa.(target) <- i;
-              S.collect states.(l) ~n_blocks:blocks.(target);
-              Vec.push predictions.(l) { target; at_instance = i }
-            | Some _ | None -> ()
-          end
-        done;
-        if i + 1 >= !next_sample then begin
-          sample_lanes Sampler.sample (i + 1);
-          next_sample := !next_sample + (Option.get ev).ev_window
-        end
-      done
-    in
-    let finish () =
-      sample_lanes Sampler.final n;
-      Array.init k (fun l ->
-          {
-            lr_predictions = Vec.to_array predictions.(l);
-            lr_predicted_at = predicted_at.(l);
-            lr_captured = captured.(l);
-            lr_profiled = profiled.(l);
-            lr_captured_total = captured_total.(l);
-            lr_counter_space = S.counter_space states.(l);
-            lr_profiling_ops = S.profiling_ops states.(l);
-            lr_collection_ops = S.collection_ops states.(l);
-          })
-    in
-    { cw_walk = walk; cw_walk_batch = Some walk_batch; cw_finish = finish }
+  (* Fresh closures for the two members [Session.kernel] keys on, so the
+     session always runs the generic loop: this is the reference the
+     kernels are tested against. *)
+  module Generic : Scheme.S = struct
+    include S
 
-  let runner = { lr_scheme = S.name; lr_make = make_walker; lr_fast = None }
+    let create ~delay ~program = S.create ~delay ~program
 
-  let run_many ?events ?jobs ?chunk ~delays r =
-    drive ?events ?jobs ?chunk runner ~delays r
+    let observe t ~head ~arrival ~path_id ~n_branches ~n_blocks =
+      S.observe t ~head ~arrival ~path_id ~n_branches ~n_blocks
+  end
+
+  let run_many ?events ?(jobs = 1) ?(chunk = default_chunk) ~delays r =
+    replay_recording ?events ~jobs ~chunk (module Generic) ~delays r
 
   let run ?events ~delay r =
     match run_many ?events ~delays:[ delay ] r with
@@ -786,773 +589,9 @@ module Make (S : Scheme.S) = struct
     | _ -> assert false
 end
 
-(* ------------------------------------------------------------------ *)
-(* Monomorphized kernels for the built-in schemes                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The generic loop pays one module-indirected call per profiled
-   instance per lane, and the built-in schemes keep their state in
-   hashtables keyed by dense integer ids (block ids for NET, path ids
-   for path-profile).  The kernels inline the scheme logic into the loop
-   and flatten each hashtable into a plain array over those ids —
-   behaviourally identical (property-tested byte-identical against the
-   generic loop), with no call, no hashing, and no option allocation on
-   the per-instance path.  Without flambda this data-structure
-   specialization, not functor inlining, is where the kernel speedup
-   comes from.
-
-   The [Array.unsafe_*] accesses rely on recording-time validation:
-   every instance id is a table path and every path head a program
-   block, so [pid < n_paths] and [head < n_blocks] always hold. *)
-
-module Net_kernel = struct
-  type variant = Rearm | Once | Prev
-
-  (* Net.state with the head-keyed hashtables flattened: counts.(h) < 0
-     means "no counter yet" (hashtable absence), last_tail.(h) < 0 "no
-     previous tail".  [seen] tracks counters ever allocated — NET's
-     counter space. *)
-  type lane = {
-    delay : int;
-    counts : int array;
-    mutable seen : int;
-    retired : bool array;
-    last_tail : int array;
-    mutable ops : int;
-    mutable collection : int;
-  }
-
-  let make_lane variant ~n_blocks ~delay =
-    {
-      delay;
-      counts = Array.make n_blocks (-1);
-      seen = 0;
-      retired = (if variant = Once then Array.make n_blocks false else [||]);
-      last_tail = (if variant = Prev then Array.make n_blocks (-1) else [||]);
-      ops = 0;
-      collection = 0;
-    }
-
-  let make_walker variant scheme ~ev ~lanes ~freq (r : Recorder.t) =
-    let k = Array.length lanes in
-    let n_paths = Recorder.num_paths r in
-    let n_blocks = Array.length r.Recorder.program.Cfg.blocks in
-    let d = Recorder.descriptors r in
-    let heads = d.Recorder.d_heads and blocks = d.Recorder.d_blocks in
-    let arrivals = Recorder.arrival_view r in
-    let states =
-      Array.map (fun delay -> make_lane variant ~n_blocks ~delay) lanes
-    in
-    let v_once = variant = Once and v_prev = variant = Prev in
-    let predicted_at = Array.init k (fun _ -> Array.make n_paths max_int) in
-    let captured = Array.init k (fun _ -> Array.make n_paths 0) in
-    let predictions = Array.init k (fun _ -> Vec.create ()) in
-    let profiled = Array.make k 0 in
-    let captured_total = Array.make k 0 in
-    let instances = r.Recorder.instances in
-    let n = Array.length instances in
-    let sampler =
-      Option.map (fun e -> Sampler.create e ~scheme ~delays:lanes) ev
-    in
-    let next_sample =
-      ref (match ev with None -> max_int | Some e -> e.ev_window)
-    in
-    let sample_lanes f upto =
-      match sampler with
-      | None -> ()
-      | Some sm ->
-        for l = 0 to k - 1 do
-          let st = states.(l) in
-          f sm l ~upto ~n_paths ~captured_arr:captured.(l)
-            ~predictions:(Vec.length predictions.(l))
-            ~profiled:profiled.(l) ~captured_total:captured_total.(l)
-            ~counter_space:st.seen ~profiling_ops:st.ops
-            ~collection_ops:st.collection
-        done
-    in
-    let walk ~lo ~hi =
-      (* Hoist the hot closure captures into locals: the walk body lives
-         in a closure now, and reloading env fields per iteration costs
-         ~15% on this loop.  [opaque_identity] stops the simplifier from
-         substituting the aliases back into env reads. *)
-      let instances = Sys.opaque_identity instances
-      and arrivals = Sys.opaque_identity arrivals
-      and heads = Sys.opaque_identity heads
-      and blocks = Sys.opaque_identity blocks
-      and freq = Sys.opaque_identity freq
-      and states = Sys.opaque_identity states
-      and predicted_at = Sys.opaque_identity predicted_at
-      and captured = Sys.opaque_identity captured
-      and predictions = Sys.opaque_identity predictions
-      and profiled = Sys.opaque_identity profiled
-      and captured_total = Sys.opaque_identity captured_total
-      and next_sample = Sys.opaque_identity next_sample
-      and v_once = Sys.opaque_identity v_once
-      and v_prev = Sys.opaque_identity v_prev
-      and k = Sys.opaque_identity k in
-      for i = lo to hi - 1 do
-        let pid = Array.unsafe_get instances i in
-        Array.unsafe_set freq pid (Array.unsafe_get freq pid + 1);
-        let is_loop_head =
-        match Array.unsafe_get arrivals i with
-        | Path.Loop_head -> true
-        | Path.Entry | Path.Continuation -> false
-      in
-      let head = Array.unsafe_get heads pid in
-      for l = 0 to k - 1 do
-        let pa = predicted_at.(l) in
-        if Array.unsafe_get pa pid < i then begin
-          let cap = captured.(l) in
-          Array.unsafe_set cap pid (Array.unsafe_get cap pid + 1);
-          captured_total.(l) <- captured_total.(l) + 1
-        end
-        else begin
-          profiled.(l) <- profiled.(l) + 1;
-          (* NET profiles only targets of backward taken transfers. *)
-          if is_loop_head then begin
-            let st = states.(l) in
-            if not (v_once && Array.unsafe_get st.retired head) then begin
-              st.ops <- st.ops + 1;
-              let c0 = Array.unsafe_get st.counts head in
-              let count =
-                if c0 < 0 then begin
-                  st.seen <- st.seen + 1;
-                  1
-                end
-                else c0 + 1
-              in
-              if count < st.delay then begin
-                Array.unsafe_set st.counts head count;
-                if v_prev then Array.unsafe_set st.last_tail head pid
-              end
-              else begin
-                (* Counter trips: re-arm and predict. *)
-                Array.unsafe_set st.counts head 0;
-                if v_once then Array.unsafe_set st.retired head true;
-                let target =
-                  if v_prev then begin
-                    let prev = Array.unsafe_get st.last_tail head in
-                    Array.unsafe_set st.last_tail head pid;
-                    (* Fall back to the current tail when the head has no
-                       history. *)
-                    if prev >= 0 then prev else pid
-                  end
-                  else pid
-                in
-                if Array.unsafe_get pa target = max_int then begin
-                  Array.unsafe_set pa target i;
-                  (* Incremental instrumentation: one breakpoint per
-                     block, charged on accepted predictions only. *)
-                  st.collection <-
-                    st.collection + Array.unsafe_get blocks target;
-                  Vec.push predictions.(l) { target; at_instance = i }
-                end
-              end
-            end
-          end
-        end
-      done;
-      if i + 1 >= !next_sample then begin
-        sample_lanes Sampler.sample (i + 1);
-        next_sample := !next_sample + (Option.get ev).ev_window
-      end
-      done
-    in
-    let finish () =
-      sample_lanes Sampler.final n;
-      Array.init k (fun l ->
-          let st = states.(l) in
-          {
-            lr_predictions = Vec.to_array predictions.(l);
-            lr_predicted_at = predicted_at.(l);
-            lr_captured = captured.(l);
-            lr_profiled = profiled.(l);
-            lr_captured_total = captured_total.(l);
-            lr_counter_space = st.seen;
-            lr_profiling_ops = st.ops;
-            lr_collection_ops = st.collection;
-          })
-    in
-    { cw_walk = walk; cw_walk_batch = None; cw_finish = finish }
-
-  let runner variant scheme =
-    {
-      lr_scheme = scheme;
-      lr_make = make_walker variant scheme;
-      (* Rearm/Once qualify for the compressed stream-sharded engine;
-         Prev predicts a path other than the tripping one (see [fast]). *)
-      lr_fast =
-        (match variant with
-         | Rearm -> Some Fast_net_rearm
-         | Once -> Some Fast_net_once
-         | Prev -> None);
-    }
-end
-
-module Path_profile_kernel = struct
-  (* Path_profile.t with the path-id-keyed counter table flattened;
-     absence and a zero count coincide, so [seen] (counter space) ticks
-     on the 0 -> 1 transition. *)
-  type lane = {
-    delay : int;
-    counts : int array;
-    mutable seen : int;
-    mutable ops : int;
-  }
-
-  let make_walker scheme ~ev ~lanes ~freq (r : Recorder.t) =
-    let k = Array.length lanes in
-    let n_paths = Recorder.num_paths r in
-    let d = Recorder.descriptors r in
-    let branches = d.Recorder.d_branches in
-    let states =
-      Array.map
-        (fun delay ->
-           { delay; counts = Array.make n_paths 0; seen = 0; ops = 0 })
-        lanes
-    in
-    let predicted_at = Array.init k (fun _ -> Array.make n_paths max_int) in
-    let captured = Array.init k (fun _ -> Array.make n_paths 0) in
-    let predictions = Array.init k (fun _ -> Vec.create ()) in
-    let profiled = Array.make k 0 in
-    let captured_total = Array.make k 0 in
-    let instances = r.Recorder.instances in
-    let n = Array.length instances in
-    let sampler =
-      Option.map (fun e -> Sampler.create e ~scheme ~delays:lanes) ev
-    in
-    let next_sample =
-      ref (match ev with None -> max_int | Some e -> e.ev_window)
-    in
-    let sample_lanes f upto =
-      match sampler with
-      | None -> ()
-      | Some sm ->
-        for l = 0 to k - 1 do
-          let st = states.(l) in
-          f sm l ~upto ~n_paths ~captured_arr:captured.(l)
-            ~predictions:(Vec.length predictions.(l))
-            ~profiled:profiled.(l) ~captured_total:captured_total.(l)
-            ~counter_space:st.seen ~profiling_ops:st.ops ~collection_ops:0
-        done
-    in
-    let walk ~lo ~hi =
-      (* Hoist the hot closure captures into locals; see Net_kernel. *)
-      let instances = Sys.opaque_identity instances
-      and branches = Sys.opaque_identity branches
-      and freq = Sys.opaque_identity freq
-      and states = Sys.opaque_identity states
-      and predicted_at = Sys.opaque_identity predicted_at
-      and captured = Sys.opaque_identity captured
-      and predictions = Sys.opaque_identity predictions
-      and profiled = Sys.opaque_identity profiled
-      and captured_total = Sys.opaque_identity captured_total
-      and next_sample = Sys.opaque_identity next_sample
-      and k = Sys.opaque_identity k in
-      for i = lo to hi - 1 do
-        let pid = Array.unsafe_get instances i in
-        Array.unsafe_set freq pid (Array.unsafe_get freq pid + 1);
-        let n_branches = Array.unsafe_get branches pid in
-      for l = 0 to k - 1 do
-        let pa = predicted_at.(l) in
-        if Array.unsafe_get pa pid < i then begin
-          let cap = captured.(l) in
-          Array.unsafe_set cap pid (Array.unsafe_get cap pid + 1);
-          captured_total.(l) <- captured_total.(l) + 1
-        end
-        else begin
-          profiled.(l) <- profiled.(l) + 1;
-          let st = states.(l) in
-          (* Bit tracing: one shift per branch on the path, one table
-             update. *)
-          st.ops <- st.ops + n_branches + 1;
-          let count = Array.unsafe_get st.counts pid + 1 in
-          Array.unsafe_set st.counts pid count;
-          if count = 1 then st.seen <- st.seen + 1;
-          (* [>=] rather than [=]: a counter already past the threshold
-             (code-cache flush scenarios) must re-predict immediately.
-             Collection is free — path-profile already holds the path. *)
-          if count >= st.delay && Array.unsafe_get pa pid = max_int then begin
-            Array.unsafe_set pa pid i;
-            Vec.push predictions.(l) { target = pid; at_instance = i }
-          end
-        end
-      done;
-      if i + 1 >= !next_sample then begin
-        sample_lanes Sampler.sample (i + 1);
-        next_sample := !next_sample + (Option.get ev).ev_window
-      end
-      done
-    in
-    let finish () =
-      sample_lanes Sampler.final n;
-      Array.init k (fun l ->
-          let st = states.(l) in
-          {
-            lr_predictions = Vec.to_array predictions.(l);
-            lr_predicted_at = predicted_at.(l);
-            lr_captured = captured.(l);
-            lr_profiled = profiled.(l);
-            lr_captured_total = captured_total.(l);
-            lr_counter_space = st.seen;
-            lr_profiling_ops = st.ops;
-            lr_collection_ops = 0;
-          })
-    in
-    { cw_walk = walk; cw_walk_batch = None; cw_finish = finish }
-
-  let runner scheme =
-    {
-      lr_scheme = scheme;
-      lr_make = make_walker scheme;
-      lr_fast = Some Fast_pp;
-    }
-end
-
-(* The k-iteration kernels mirror the scheme modules with the per-lane
-   state flattened (NET-k's head table into a dense block array,
-   path-profile-k's suffix trie into [Kpath.Flat] with a node-id-indexed
-   counts array) and the scheme logic inlined — no module-indirected
-   call, no option allocation per instance.  Neither qualifies for the compressed stream-sharded engine
-   ([lr_fast = None], like [Last_executed_tail]): both carry a per-lane
-   chain cursor/window whose evolution depends on which instances that
-   lane still profiles, so the lane-blind phase-A compression cannot
-   represent them.  At jobs > 1 they go through the chunk-tiled
-   per-instance lane shards, bit-identical to serial. *)
-
-module Kpath = Hotpath_trace.Kpath
-
-module Path_profile_k_kernel = struct
-  (* Path_profile_k.state with the module indirection gone and the
-     suffix trie swapped for [Kpath.Flat] — dense level-1 array plus an
-     open-addressed int table for deeper children, allocating node ids
-     in exactly the reference interner's order so counter registries
-     and node-indexed counts stay bit-identical.  The stdlib hashtable
-     walk (hash + bucket chase per instance per lane) was what held the
-     packed k-trie kernel below the generic loop. *)
-  type lane = {
-    delay : int;
-    trie : Kpath.Flat.t;
-    mutable counts : int array;
-    mutable cur : int;
-    mutable ops : int;
-  }
-
-  let make_walker k_iter scheme ~ev ~lanes ~freq (r : Recorder.t) =
-    let k = Array.length lanes in
-    let n_paths = Recorder.num_paths r in
-    let d = Recorder.descriptors r in
-    let branches = d.Recorder.d_branches in
-    let arrivals = Recorder.arrival_view r in
-    let states =
-      Array.map
-        (fun delay ->
-           { delay; trie = Kpath.Flat.create ~k:k_iter;
-             counts = Array.make 64 0; cur = Kpath.root; ops = 0 })
-        lanes
-    in
-    let predicted_at = Array.init k (fun _ -> Array.make n_paths max_int) in
-    let captured = Array.init k (fun _ -> Array.make n_paths 0) in
-    let predictions = Array.init k (fun _ -> Vec.create ()) in
-    let profiled = Array.make k 0 in
-    let captured_total = Array.make k 0 in
-    let instances = r.Recorder.instances in
-    let n = Array.length instances in
-    let sampler =
-      Option.map (fun e -> Sampler.create e ~scheme ~delays:lanes) ev
-    in
-    let next_sample =
-      ref (match ev with None -> max_int | Some e -> e.ev_window)
-    in
-    let sample_lanes f upto =
-      match sampler with
-      | None -> ()
-      | Some sm ->
-        for l = 0 to k - 1 do
-          let st = states.(l) in
-          f sm l ~upto ~n_paths ~captured_arr:captured.(l)
-            ~predictions:(Vec.length predictions.(l))
-            ~profiled:profiled.(l) ~captured_total:captured_total.(l)
-            ~counter_space:(Kpath.Flat.num_nodes st.trie - 1) ~profiling_ops:st.ops
-            ~collection_ops:0
-        done
-    in
-    let walk ~lo ~hi =
-      (* Hoist the hot closure captures into locals; see Net_kernel. *)
-      let instances = Sys.opaque_identity instances
-      and arrivals = Sys.opaque_identity arrivals
-      and branches = Sys.opaque_identity branches
-      and freq = Sys.opaque_identity freq
-      and states = Sys.opaque_identity states
-      and predicted_at = Sys.opaque_identity predicted_at
-      and captured = Sys.opaque_identity captured
-      and predictions = Sys.opaque_identity predictions
-      and profiled = Sys.opaque_identity profiled
-      and captured_total = Sys.opaque_identity captured_total
-      and next_sample = Sys.opaque_identity next_sample
-      and k = Sys.opaque_identity k in
-      for i = lo to hi - 1 do
-        let pid = Array.unsafe_get instances i in
-        Array.unsafe_set freq pid (Array.unsafe_get freq pid + 1);
-        let n_branches = Array.unsafe_get branches pid in
-        let arrival = Array.unsafe_get arrivals i in
-        for l = 0 to k - 1 do
-          let pa = predicted_at.(l) in
-          if Array.unsafe_get pa pid < i then begin
-            let cap = captured.(l) in
-            Array.unsafe_set cap pid (Array.unsafe_get cap pid + 1);
-            captured_total.(l) <- captured_total.(l) + 1
-          end
-          else begin
-            profiled.(l) <- profiled.(l) + 1;
-            let st = states.(l) in
-            (* Bit tracing plus the window cursor ride-along. *)
-            st.ops <- st.ops + n_branches + 1;
-            let node = Kpath.Flat.advance st.trie ~cur:st.cur ~arrival ~pid in
-            st.cur <- node;
-            let counts =
-              let c = st.counts in
-              if node < Array.length c then c
-              else begin
-                let c' = Array.make (max (node + 1) (2 * Array.length c)) 0 in
-                Array.blit c 0 c' 0 (Array.length c);
-                st.counts <- c';
-                c'
-              end
-            in
-            let count = Array.unsafe_get counts node + 1 in
-            Array.unsafe_set counts node count;
-            if count >= st.delay && Array.unsafe_get pa pid = max_int then begin
-              Array.unsafe_set pa pid i;
-              Vec.push predictions.(l) { target = pid; at_instance = i }
-            end
-          end
-        done;
-        if i + 1 >= !next_sample then begin
-          sample_lanes Sampler.sample (i + 1);
-          next_sample := !next_sample + (Option.get ev).ev_window
-        end
-      done
-    in
-    let finish () =
-      sample_lanes Sampler.final n;
-      Array.init k (fun l ->
-          let st = states.(l) in
-          {
-            lr_predictions = Vec.to_array predictions.(l);
-            lr_predicted_at = predicted_at.(l);
-            lr_captured = captured.(l);
-            lr_profiled = profiled.(l);
-            lr_captured_total = captured_total.(l);
-            lr_counter_space = Kpath.Flat.num_nodes st.trie - 1;
-            lr_profiling_ops = st.ops;
-            lr_collection_ops = 0;
-          })
-    in
-    { cw_walk = walk; cw_walk_batch = None; cw_finish = finish }
-
-  let runner k_iter scheme =
-    {
-      lr_scheme = scheme;
-      lr_make = make_walker k_iter scheme;
-      lr_fast = None;
-    }
-end
-
-module Net_k_kernel = struct
-  (* Net_k.state with the head counter table flattened like Net_kernel:
-     counts.(h) < 0 means "no counter yet". *)
-  type lane = {
-    delay : int;
-    counts : int array;
-    mutable seen : int;
-    mutable remaining : int;
-    mutable ops : int;
-    mutable collection : int;
-  }
-
-  let make_walker k_iter scheme ~ev ~lanes ~freq (r : Recorder.t) =
-    let k = Array.length lanes in
-    let n_paths = Recorder.num_paths r in
-    let n_blocks = Array.length r.Recorder.program.Cfg.blocks in
-    let d = Recorder.descriptors r in
-    let heads = d.Recorder.d_heads and blocks = d.Recorder.d_blocks in
-    let arrivals = Recorder.arrival_view r in
-    let states =
-      Array.map
-        (fun delay ->
-           { delay; counts = Array.make n_blocks (-1); seen = 0; remaining = 0;
-             ops = 0; collection = 0 })
-        lanes
-    in
-    let predicted_at = Array.init k (fun _ -> Array.make n_paths max_int) in
-    let captured = Array.init k (fun _ -> Array.make n_paths 0) in
-    let predictions = Array.init k (fun _ -> Vec.create ()) in
-    let profiled = Array.make k 0 in
-    let captured_total = Array.make k 0 in
-    let instances = r.Recorder.instances in
-    let n = Array.length instances in
-    let sampler =
-      Option.map (fun e -> Sampler.create e ~scheme ~delays:lanes) ev
-    in
-    let next_sample =
-      ref (match ev with None -> max_int | Some e -> e.ev_window)
-    in
-    let sample_lanes f upto =
-      match sampler with
-      | None -> ()
-      | Some sm ->
-        for l = 0 to k - 1 do
-          let st = states.(l) in
-          f sm l ~upto ~n_paths ~captured_arr:captured.(l)
-            ~predictions:(Vec.length predictions.(l))
-            ~profiled:profiled.(l) ~captured_total:captured_total.(l)
-            ~counter_space:st.seen ~profiling_ops:st.ops
-            ~collection_ops:st.collection
-        done
-    in
-    let walk ~lo ~hi =
-      (* Hoist the hot closure captures into locals; see Net_kernel. *)
-      let instances = Sys.opaque_identity instances
-      and arrivals = Sys.opaque_identity arrivals
-      and heads = Sys.opaque_identity heads
-      and blocks = Sys.opaque_identity blocks
-      and freq = Sys.opaque_identity freq
-      and states = Sys.opaque_identity states
-      and predicted_at = Sys.opaque_identity predicted_at
-      and captured = Sys.opaque_identity captured
-      and predictions = Sys.opaque_identity predictions
-      and profiled = Sys.opaque_identity profiled
-      and captured_total = Sys.opaque_identity captured_total
-      and next_sample = Sys.opaque_identity next_sample
-      and k = Sys.opaque_identity k in
-      for i = lo to hi - 1 do
-        let pid = Array.unsafe_get instances i in
-        Array.unsafe_set freq pid (Array.unsafe_get freq pid + 1);
-        let is_loop_head =
-          match Array.unsafe_get arrivals i with
-          | Path.Loop_head -> true
-          | Path.Entry | Path.Continuation -> false
-        in
-        let head = Array.unsafe_get heads pid in
-        for l = 0 to k - 1 do
-          let pa = predicted_at.(l) in
-          if Array.unsafe_get pa pid < i then begin
-            let cap = captured.(l) in
-            Array.unsafe_set cap pid (Array.unsafe_get cap pid + 1);
-            captured_total.(l) <- captured_total.(l) + 1
-          end
-          else begin
-            profiled.(l) <- profiled.(l) + 1;
-            let st = states.(l) in
-            if is_loop_head then begin
-              st.ops <- st.ops + 1;
-              let c0 = Array.unsafe_get st.counts head in
-              let count =
-                if c0 < 0 then begin
-                  st.seen <- st.seen + 1;
-                  1
-                end
-                else c0 + 1
-              in
-              let offer =
-                if count >= st.delay then begin
-                  (* Trip: re-arm, predict, open (or restart) the
-                     window. *)
-                  Array.unsafe_set st.counts head 0;
-                  st.remaining <- k_iter - 1;
-                  true
-                end
-                else begin
-                  Array.unsafe_set st.counts head count;
-                  if st.remaining > 0 then begin
-                    st.remaining <- st.remaining - 1;
-                    true
-                  end
-                  else false
-                end
-              in
-              if offer && Array.unsafe_get pa pid = max_int then begin
-                Array.unsafe_set pa pid i;
-                st.collection <- st.collection + Array.unsafe_get blocks pid;
-                Vec.push predictions.(l) { target = pid; at_instance = i }
-              end
-            end
-            else
-              (* The back-edge chain broke: close the window. *)
-              st.remaining <- 0
-          end
-        done;
-        if i + 1 >= !next_sample then begin
-          sample_lanes Sampler.sample (i + 1);
-          next_sample := !next_sample + (Option.get ev).ev_window
-        end
-      done
-    in
-    let finish () =
-      sample_lanes Sampler.final n;
-      Array.init k (fun l ->
-          let st = states.(l) in
-          {
-            lr_predictions = Vec.to_array predictions.(l);
-            lr_predicted_at = predicted_at.(l);
-            lr_captured = captured.(l);
-            lr_profiled = profiled.(l);
-            lr_captured_total = captured_total.(l);
-            lr_counter_space = st.seen;
-            lr_profiling_ops = st.ops;
-            lr_collection_ops = st.collection;
-          })
-    in
-    { cw_walk = walk; cw_walk_batch = None; cw_finish = finish }
-
-  let runner k_iter scheme =
-    {
-      lr_scheme = scheme;
-      lr_make = make_walker k_iter scheme;
-      lr_fast = None;
-    }
-end
-
-(* ------------------------------------------------------------------ *)
-(* Dispatch                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A packed module is recognized as a built-in by the physical identity
-   of its [observe] closure — allocated once at scheme-module init and
-   preserved by signature coercions, which copy module blocks but never
-   wrap regular value fields.  [Obj.repr] only erases the state-type
-   difference for the pointer comparison; nothing is read through it.
-   Unrecognized schemes (including look-alikes that merely reuse a
-   built-in's name) fall back to the generic kernel. *)
-let same_fn f g = Obj.repr f == Obj.repr g
-
-let builtin_runner (module S : Scheme.S) =
-  if same_fn S.observe Net.observe then
-    Some (Net_kernel.runner Net_kernel.Rearm S.name)
-  else if same_fn S.observe Net.Net_once.observe then
-    Some (Net_kernel.runner Net_kernel.Once S.name)
-  else if same_fn S.observe Net.Last_executed_tail.observe then
-    Some (Net_kernel.runner Net_kernel.Prev S.name)
-  else if same_fn S.observe Path_profile.observe then
-    Some (Path_profile_kernel.runner S.name)
-  else
-    match Path_profile_k.recognize (module S) with
-    | Some k -> Some (Path_profile_k_kernel.runner k S.name)
-    | None ->
-      (match Net_k.recognize (module S) with
-       | Some k -> Some (Net_k_kernel.runner k S.name)
-       | None -> None)
-
-let run_many ?events ?jobs ?chunk (module S : Scheme.S) ~delays
-    (r : Recorder.t) =
-  match builtin_runner (module S) with
-  | Some runner ->
-    (* The kernels do not re-validate delays; keep each scheme's own
-       validation (and exception message) for the invalid ones. *)
-    List.iter
-      (fun d ->
-         if d < 1 then ignore (S.create ~delay:d ~program:r.Recorder.program))
-      delays;
-    drive ?events ?jobs ?chunk runner ~delays r
-  | None ->
-    let module M = Make (S) in
-    M.run_many ?events ?jobs ?chunk ~delays r
-
-let run ?events scheme ~delay r =
-  match run_many ?events scheme ~delays:[ delay ] r with
-  | [ o ] -> o
-  | _ -> assert false
-
-(* File replay runs online [Session]s over a HOTPATH3 reader, pulled
-   or mapped (both are the same reader type).  Each lane group is one
-   session (the same per-instance body as [run_many], with
-   per-path state grown as the stream declares paths; nothing is ever
-   O(trace)).  Each instance frame is decoded once into one shared
-   [Batch.t], and every session replays it via [Session.push_batch].
-   Because this loop and the public online path share the session
-   walker, their bit-for-bit equivalence is structural, not duplicated
-   code kept in step by tests alone.
-
-   [?jobs] maps the frames onto the same fan-out design as the
-   materialized engine: each decoded batch is replayed by contiguous
-   lane groups (clamped to the machine's domain budget), all lane state
-   carried across frame seams inside its owning session.  Sessions only
-   read the batch and the shared [Path_table] during a push, so the
-   groups share them concurrently; the loop refills the batch and
-   grows the table only between fan-outs ([Stream.next_batch]).  Results
-   and the merged event stream are byte-identical at every job count. *)
-module Stream = Hotpath_trace.Serialize.Stream
-
-let run_many_mapped ?events:ev ?(jobs = 1) (module S : Scheme.S) ~delays rd =
+let run_many_mapped ?events ?(jobs = 1) scheme ~delays rd =
   if jobs < 1 then invalid_arg "Replay.run_many_mapped: jobs must be >= 1";
-  let ev = live ev in
-  match Array.of_list delays with
-  | [||] -> Ok []
-  | lanes ->
-    let k = Array.length lanes in
-    let program = Stream.program rd in
-    let table = Stream.table rd in
-    let workers = min (Pool.effective_workers ~jobs) k in
-    let slices =
-      if workers <= 1 then [| lanes |] else shard_slices lanes workers
-    in
-    let ng = Array.length slices in
-    let bufs = Array.map (fun _ -> Vec.create ()) slices in
-    let sessions =
-      Array.mapi
-        (fun s slice ->
-           (* Sampling goes to the group's line buffer, directly to the
-              sink when there is a single group. *)
-           let ev_s =
-             if ng = 1 then ev
-             else
-               Option.map
-                 (fun e -> { e with ev_sink = Events.of_fn (Vec.push bufs.(s)) })
-                 ev
-           in
-           (* The reader already validated frame structure, ids, and
-              arrival codes; linting belongs to callers that opt in
-              (sessions over a socket), not to every file replay. *)
-           match
-             Session.create ?events:ev_s ~lint:false (module S)
-               ~delays:(Array.to_list slice) ~program ~table
-           with
-           | Ok sess -> sess
-           | Error _ -> assert false (* lint off: create cannot fail *))
-        slices
-    in
-    let batch = Batch.create () in
-    let rec consume () =
-      match Stream.next_batch rd batch with
-      | Error _ as e -> e
-      | Ok false -> Ok ()
-      | Ok true ->
-        (* One logical read of the frame, independent of the fan-out. *)
-        ignore (Atomic.fetch_and_add reads (Batch.length batch));
-        let push sess =
-          match Session.push_batch sess batch with
-          | Ok () -> ()
-          | Error e ->
-            (* Unreachable: reader-validated batches against the shared
-               table cannot be rejected by an unlinted session. *)
-            invalid_arg ("Replay.run_many_mapped: " ^ e)
-        in
-        if ng = 1 then push sessions.(0)
-        else ignore (Pool.map_array ~jobs:ng push sessions);
-        consume ()
-    in
-    (match consume () with
-     | Error _ as e -> e
-     | Ok () ->
-       let lrs =
-         Array.concat
-           (Array.to_list
-              (Array.map (fun sess -> Array.of_list (Session.finish sess)) sessions))
-       in
-       if ng > 1 then
-         Option.iter (fun e -> merge_event_lines e.ev_sink slices bufs) ev;
-       Ok (Array.to_list lrs))
+  drive ?events ~jobs scheme ~delays (Reader rd)
 
 let run_mapped ?events scheme ~delay rd =
   match run_many_mapped ?events scheme ~delays:[ delay ] rd with

@@ -12,8 +12,8 @@ type prediction = Session.prediction = {
   target : int;  (** Predicted path id. *)
   at_instance : int;  (** Trace position where the prediction fired. *)
 }
-(** Shared with {!Session} — the online push API over the same walker —
-    so batch and session results compare directly. *)
+(** Shared with {!Session} — the online push API that every replay
+    drives — so batch and session results compare directly. *)
 
 type outcome = Session.outcome = {
   scheme_name : string;
@@ -40,9 +40,9 @@ type outcome = Session.outcome = {
     sample per [window] instances per delay lane, plus a final sample so
     the last window's cumulative fields always equal the outcome's
     totals.  Sampling is observation only: outcomes are byte-identical
-    with events on and off (property-tested), the per-instance cost of a
-    disabled sampler is one integer comparison, and an enabled one does
-    all its work at window boundaries. *)
+    with events on and off (property-tested), and the lane loops never
+    see the sampler: sessions cut each batch at window ends and sample
+    between loop calls. *)
 
 type events
 
@@ -69,10 +69,10 @@ val run :
 (** @raise Invalid_argument when [delay < 1]. *)
 
 val default_chunk : int
-(** 65,536 instances — the default chunk size for sharded replay,
-    measured fastest on the net kernel (big enough to amortize seam
-    bookkeeping, small enough to keep chunk-local side arrays in
-    cache). *)
+(** 65,536 instances — the default batch size when several lane groups
+    replay a recording, and the compressed engines' chunk (big enough
+    to amortize handing a batch to other domains, small enough to keep
+    chunk-local side arrays in cache). *)
 
 val run_many :
   ?events:events ->
@@ -89,44 +89,45 @@ val run_many :
     purely an amortization of the trace walk (delay sweeps drop from
     O(delays × trace) to O(trace) instance reads).
 
-    [jobs] (default 1) parallelizes along the {e instance stream}: the
-    trace is segmented into contiguous chunks of [chunk] instances
-    (default {!default_chunk}), each chunk is replayed with scheme state
-    carried across the seam, and per-chunk counters merge into the
-    serial totals.  For the built-in NET and path-profile kernels the
-    chunked engine replays from compressed per-chunk summaries (loop-head
-    event positions and same-head runs) rather than re-walking raw
-    instances, which is why [jobs = 4] beats [jobs = 1] even though the
-    work still fans out over at most [min jobs (available domains)]
-    workers ({!Hotpath_util.Pool.effective_workers} — the raw [jobs] ask
-    never oversubscribes a small machine).  Results are byte-identical
-    to [jobs = 1] for every job count and chunk size — the seam-carry
-    protocol is property-tested [merged ≡ serial] per scheme, including
-    the event stream: windows are buffered per worker and merged back
-    into the exact serial emission order.  {!instance_reads} counts the
-    logical traversal once ([+ length trace]) regardless of [jobs].
-    When [jobs > 1] and events carry an [is_hot] closure, that closure
-    is called from worker domains and must be domain-safe (the hot-set
-    predicates in {!Hotpath_metrics} are pure array lookups).
+    [jobs] (default 1) splits the delay lanes into contiguous groups,
+    one {!Session} each, as many as
+    {!Hotpath_util.Pool.effective_workers} allows (the raw [jobs] ask
+    never oversubscribes a small machine).  The recording is copied
+    into one reused batch at a time, and every group replays each
+    batch, with all lane state carried across the seams.  Batches hold
+    [chunk] instances (default {!default_chunk}) when there are several
+    groups, and at most 4,096 when there is one, which keeps the batch
+    in cache and the replay's major-heap allocation small.
+    With events off, NET, NET-once and path-profile at [jobs > 1]
+    instead replay from compressed summaries of the recording
+    (loop-head runs, occurrence-threshold triggers) rather than
+    re-walking raw instances, which is why [jobs = 4] beats [jobs = 1]
+    even on one core.  Results are byte-identical to [jobs = 1] for
+    every job count and chunk size — property-tested per scheme,
+    including the event stream: windows are buffered per group and
+    merged back into the exact serial emission order.
+    {!instance_reads} counts the logical traversal once
+    ([+ length trace]) regardless of [jobs].  When [jobs > 1] and
+    events carry an [is_hot] closure, that closure is called from
+    worker domains and must be domain-safe (the hot-set predicates in
+    {!Hotpath_metrics} are pure array lookups).
     @raise Invalid_argument when any delay is [< 1], [jobs < 1] or
     [chunk < 1]. *)
 
-(** {1 Monomorphized kernels}
+(** {1 Lane loops}
 
-    [run]/[run_many] on a packed module call the scheme through a
-    first-class-module indirection per profiled instance.  {!Make}
-    compiles the same multiplexed loop against a statically known scheme
-    module.  For the built-in schemes ({!Net}, {!Net.Net_once},
-    {!Net.Last_executed_tail}, {!Path_profile}) the packed entry points
-    additionally dispatch to hand-specialized kernels that flatten the
-    scheme's hashtable state into dense arrays — recognized by the
-    physical identity of the packed [observe], so wrapping or re-deriving
-    a scheme safely falls back to the generic loop.  The k-iteration
-    families ({!Net_k}, {!Path_profile_k}) get the same treatment keyed
-    on the identity of [create] instead ([observe] captures nothing
-    instantiation-specific, so it is one shared closure across every k).
-    All the loops are property-tested byte-identical; [bench kernel]
-    measures the spread. *)
+    Every replay — materialized ({!run_many}), mapped or pulled
+    ({!run_many_mapped}), and pushed ({!Session}) — runs one lane group
+    per {!Session} over {!Hotpath_trace.Batch.t}s, and each scheme
+    family has exactly one lane loop ({!Session.kernel}): the built-in
+    NET variants, path-profile, path-profile-k and NET-k get kernels
+    that flatten the scheme's hashtable state into dense arrays, and
+    every other scheme runs the generic loop, which calls the scheme
+    through its module.  Built-ins are recognized by physical identity,
+    so wrapping or re-deriving a scheme safely falls back to the
+    generic loop.  {!Make} always runs the generic loop: it is the
+    reference the kernels are property-tested byte-identical against;
+    [bench kernel] measures the spread. *)
 
 module Make (S : Scheme.S) : sig
   val run :
@@ -152,8 +153,8 @@ val run_mapped :
     ({!Hotpath_trace.Serialize.Stream.Mapped.map_file}).
     Field-by-field identical to [run ~delay] on the recording the stream
     serializes, but peak memory is O(paths + frame): instance frames
-    are decoded one at a time into a reused dense batch, and the
-    instance stream is never held.  Decode errors surface as [Error];
+    are decoded one at a time into a reused batch, replayed by the same
+    lane loop as {!run}, and the instance stream is never held.  Decode errors surface as [Error];
     the reader is left poisoned at the failure.
     @raise Invalid_argument when [delay < 1]. *)
 

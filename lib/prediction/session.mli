@@ -1,18 +1,18 @@
-(** Online prediction sessions: the replay engine's per-instance walker
-    exposed as an incremental push API.
+(** Online prediction sessions: the one driver of the replay lane loops.
 
     A session holds the full multiplexed replay state for one scheme and
-    a set of delay lanes — scheme state, per-path frequency and capture
-    counters, accepted predictions, event sampler cursors — and accepts
-    the instance stream in caller-chosen pieces: one instance at a time
-    ({!push}), or any {!Hotpath_trace.Batch.t} — the one decoded form
-    every HOTPATH3 feed produces ({!push_batch}).  Batching is pure loop
+    a set of delay lanes — scheme state, per-path descriptors, frequency
+    and capture counters, accepted predictions, event sampler cursors —
+    and accepts the instance stream as any {!Hotpath_trace.Batch.t}, the
+    one decoded form every source produces ({!push_batch}).  Every
+    replay runs through sessions: {!Replay.run_many} fills batches from
+    a recording, {!Replay.run_many_mapped} from a pull or mapped reader,
+    and the serve daemon from pushed bytes, so all three run the same
+    lane loop for a given scheme (see {!kernel}).  Batching is pure loop
     tiling: pushing a trace in any granularity (the differential suite
     drives 1, prime-sized, and larger-than-trace batches) produces
-    outcomes, counter registries, and event streams bit-identical to the
-    batch engine on the same stream — a guarantee that holds by
-    construction, because {!Replay.run_many_mapped} itself replays
-    through these sessions.
+    outcomes, counter registries, and event streams bit-identical to
+    one batch of the whole trace.
 
     Sessions also carry the trace lint gate online (on by default): each
     batch is checked against the program — newly declared paths, then
@@ -24,7 +24,6 @@
     Sessions are single-owner (not thread-safe), like the rest of the
     per-lane replay state. *)
 
-module Path = Hotpath_trace.Path
 module Path_table = Hotpath_trace.Path_table
 module Cfg = Hotpath_cfg.Cfg
 module Events = Hotpath_util.Events
@@ -67,42 +66,30 @@ val events : ?window:int -> ?is_hot:(int -> bool) -> Events.sink -> events
 val live : events option -> events option
 (** Treat a null-sink events value as disabled. *)
 
-(** Per-lane window sampler, shared with the batch engine's kernels.
-    Internal plumbing — exposed for [Replay], not part of the stable
-    surface. *)
-module Sampler : sig
-  type t
+(** {1 Lane loops}
 
-  val create : events -> scheme:string -> delays:int array -> t
+    Each scheme family has exactly one per-instance loop over
+    {!Hotpath_trace.Batch.t}, and a session is its only driver: the
+    generic loop calls any {!Scheme.S} through its module, and four
+    kernels inline the built-in families with their tables flattened
+    into arrays over dense ids. *)
 
-  val sample :
-    t ->
-    int ->
-    upto:int ->
-    n_paths:int ->
-    captured_arr:int array ->
-    predictions:int ->
-    profiled:int ->
-    captured_total:int ->
-    counter_space:int ->
-    profiling_ops:int ->
-    collection_ops:int ->
-    unit
+type net_variant = Rearm | Once | Prev
+(** {!Net}, {!Net.Net_once} and {!Net.Last_executed_tail}. *)
 
-  val final :
-    t ->
-    int ->
-    upto:int ->
-    n_paths:int ->
-    captured_arr:int array ->
-    predictions:int ->
-    profiled:int ->
-    captured_total:int ->
-    counter_space:int ->
-    profiling_ops:int ->
-    collection_ops:int ->
-    unit
-end
+type kernel =
+  | Generic
+  | Net_kernel of net_variant
+  | Path_profile_kernel
+  | Path_profile_k_kernel of int  (** {!Path_profile_k.make} [k]. *)
+  | Net_k_kernel of int  (** {!Net_k.make} [k]. *)
+
+val kernel : Scheme.packed -> kernel
+(** The loop {!create} runs for a scheme.  Built-ins are recognized by
+    the physical identity of their [observe] (of [create] for the
+    k-iteration families, whose [observe] is shared across every k), so
+    a wrapped or re-derived scheme, even one reusing a built-in's name,
+    gets [Generic]. *)
 
 type t
 
@@ -132,16 +119,16 @@ val create :
 
 val push_batch : t -> Hotpath_trace.Batch.t -> (unit, string) result
 (** Feed one decoded batch.  The gate is the incremental linter when
-    enabled, id-range and arrival-code checks otherwise.  On [Error] —
-    lint rejection, undeclared path id, invalid arrival code, or a
+    enabled, id-range and arrival-code checks otherwise; either way,
+    every path the table declared since the last push must have a head
+    that is a program block (O(new paths), whatever the batch size).
+    On [Error] — a batch length outside its arrays, lint rejection, a
+    bad declared path, undeclared path id, invalid arrival code, or a
     finished session — no session state has changed: counters,
     predictions, and the event stream are exactly as before the call,
     so a server can drop one bad client without poisoning the
     session-independent state it shares.  The batch is read only during
     the call and may be refilled immediately after. *)
-
-val push : t -> path_id:int -> arrival:Path.head_kind -> (unit, string) result
-(** {!push_batch} of a one-instance batch. *)
 
 val instances : t -> int
 (** Instances accepted so far. *)

@@ -1,15 +1,13 @@
 (* A reusable dense view of a slice of the instance stream.
 
-   Everything the replay hot loops touch per instance lives here as a
-   plain int array: path ids, arrival codes, and (optionally) the
-   per-instance descriptor gather (loop-head block, branch count, block
-   count).  Instance frames are decoded into a batch exactly once;
-   every lane group then walks cache-resident arrays instead of
-   re-reading bytes or chasing per-path descriptor indirections.
+   Everything a replay lane loop reads per instance lives here as a
+   plain int array: path ids and arrival codes.  Instance frames (or
+   recording slices) are copied into a batch exactly once; every lane
+   group then walks the cache-resident arrays instead of re-reading
+   bytes.
 
    A batch is a scratch buffer owned by whoever fills it.  Consumers
-   (session walkers, replay lane groups) may read [ids]/[arrs] (and the
-   descriptor arrays when the filler populated them) for indices
+   (sessions, replay lane groups) may read [ids]/[arrs] for indices
    [0, n), concurrently from several domains, but must never retain the
    arrays past the call that handed them the batch: the next fill
    reuses the same storage. *)
@@ -18,9 +16,6 @@ type t = {
   mutable n : int;  (* valid prefix length of every array below *)
   mutable ids : int array;  (* path ids *)
   mutable arrs : int array;  (* arrival codes, as in {!Recorder.arrival_code} *)
-  mutable heads : int array;  (* loop-head head block per instance *)
-  mutable branches : int array;  (* branch count per instance *)
-  mutable blocks : int array;  (* block count per instance *)
 }
 
 let create ?(capacity = 1024) () =
@@ -29,9 +24,6 @@ let create ?(capacity = 1024) () =
     n = 0;
     ids = Array.make capacity 0;
     arrs = Array.make capacity 0;
-    heads = [||];
-    branches = [||];
-    blocks = [||];
   }
 
 let length t = t.n
@@ -49,15 +41,6 @@ let ensure t n =
   if n > Array.length t.ids then begin
     t.ids <- grown t.ids n;
     t.arrs <- grown t.arrs n
-  end
-
-(* The descriptor gather is optional — the wire decoders never touch
-   it — so its arrays grow separately and stay empty for sessions. *)
-let ensure_descriptors t n =
-  if n > Array.length t.heads then begin
-    t.heads <- grown t.heads n;
-    t.branches <- grown t.branches n;
-    t.blocks <- grown t.blocks n
   end
 
 let set_length t n =

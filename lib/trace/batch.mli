@@ -1,16 +1,15 @@
 (** A reusable dense view of a slice of the instance stream — the
     batched-decode contract between ingest and replay.
 
-    Instance frames are decoded {e once} into preallocated int
-    arrays; the monomorphized kernels, session walkers, and the
-    chunk-sharded [?jobs] engine consume those arrays directly instead
-    of re-reading wire bytes (or chasing per-path descriptor
-    indirections) per instance per lane.
+    Instance frames, and slices of a materialized recording, are
+    copied {e once} into preallocated int arrays; every replay lane
+    loop reads those arrays directly (per-path descriptors live with
+    the session, indexed by path id) instead of re-reading wire bytes
+    per instance per lane.
 
     {b Lifetime rules.}  A batch is a scratch buffer owned by its
     filler.  Readers may access indices [0, length t) of {!ids} and
-    {!arrs} (plus {!heads}/{!branches}/{!blocks} when the filler
-    populated them), concurrently from several domains; they must not
+    {!arrs}, concurrently from several domains; they must not
     retain the arrays past the call that handed them the batch — the
     next fill writes over the same storage, and growth swaps the arrays
     out entirely. *)
@@ -21,11 +20,6 @@ type t = {
   mutable arrs : int array;
       (** Arrival codes ([0] loop-head, [1] entry, [2] continuation —
           {!Recorder.arrival_code} widened to int), valid in [\[0, n)]. *)
-  mutable heads : int array;
-      (** Per-instance head block of the path — filled only by gathers
-          that request descriptors (see {!ensure_descriptors}). *)
-  mutable branches : int array;  (** Per-instance branch count. *)
-  mutable blocks : int array;  (** Per-instance block count. *)
 }
 
 val create : ?capacity:int -> unit -> t
@@ -38,10 +32,6 @@ val clear : t -> unit
 
 val ensure : t -> int -> unit
 (** Grow {!ids}/{!arrs} to hold at least [n] instances. *)
-
-val ensure_descriptors : t -> int -> unit
-(** Grow {!heads}/{!branches}/{!blocks} to hold at least [n] instances
-    (they stay empty unless a filler asks — wire decoders never do). *)
 
 val set_length : t -> int -> unit
 (** Declare [n] instances valid after a direct array fill (grows the

@@ -508,17 +508,16 @@ module Stream = struct
 
   let ba_u8 (b : bigstring) i = Char.code (Bigarray.Array1.unsafe_get b i)
 
-  (* Little-endian i32 straight off the window.  Sign extension is by the
-     xor/subtract identity — [(v lsl 32) asr 32] would overflow the
-     63-bit native int. *)
+  external ba_get32 : bigstring -> int -> int32 = "%caml_bigstring_get32u"
+
+  external swap32 : int32 -> int32 = "%bswap_int32"
+
+  (* Little-endian i32 straight off the window: one unaligned load,
+     which the native compiler keeps unboxed through [Int32.to_int]
+     (the sign extension). *)
   let ba_i32 (b : bigstring) i =
-    let v =
-      ba_u8 b i
-      lor (ba_u8 b (i + 1) lsl 8)
-      lor (ba_u8 b (i + 2) lsl 16)
-      lor (ba_u8 b (i + 3) lsl 24)
-    in
-    (v lxor 0x8000_0000) - 0x8000_0000
+    let v = ba_get32 b i in
+    Int32.to_int (if Sys.big_endian then swap32 v else v)
 
   let ba_sub_string (b : bigstring) ~pos ~len =
     let s = Bytes.create len in

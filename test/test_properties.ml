@@ -556,52 +556,20 @@ let prop_replay_capture_monotone_in_delay =
        captured 2 >= captured 8 && captured 8 >= captured 64)
 
 (* ------------------------------------------------------------------ *)
-(* Batched decode: generic-walker fan-out and the mapped reader        *)
+(* Lane groups over batches: materialized and mapped sources           *)
 (* ------------------------------------------------------------------ *)
 
-(* Under ?jobs the generic Make(S) walker re-packs each chunk once into
-   a dense shared batch and fans it out over the lane groups.  That
-   branch only engages when *every* lane compiles to the generic walker,
-   so these twins eta-expand the member the kernel dispatch keys on —
-   [observe] for the base schemes, [create] for the k-iteration families
-   (whose [observe] is shared across every k). *)
-module Net_generic : Scheme.S = struct
-  include Net
-
-  let observe t ~head ~arrival ~path_id ~n_branches ~n_blocks =
-    Net.observe t ~head ~arrival ~path_id ~n_branches ~n_blocks
-end
-
-module Pp_generic : Scheme.S = struct
-  include Path_profile
-
-  let observe t ~head ~arrival ~path_id ~n_branches ~n_blocks =
-    Path_profile.observe t ~head ~arrival ~path_id ~n_branches ~n_blocks
-end
-
-module Net_k2 = (val Hotpath_prediction.Net_k.make 2)
-module Pp_k2 = (val Hotpath_prediction.Path_profile_k.make 2)
-
-module Net_k2_generic : Scheme.S = struct
-  include Net_k2
-
-  let create ~delay ~program = Net_k2.create ~delay ~program
-end
-
-module Pp_k2_generic : Scheme.S = struct
-  include Pp_k2
-
-  let create ~delay ~program = Pp_k2.create ~delay ~program
-end
+module Net_k2 = Generic_twins.Net_k2
+module Pp_k2 = Generic_twins.Pp_k2
 
 let prop_batch_fanout_equals_serial =
   (* Covers what [prop_chunk_seam_equals_serial] cannot: the k-iteration
-     kernels and the generic batch fan-out.  Adversarial chunk sizes
-     (every instance a seam; one chunk spanning past the end) run under
-     a simulated 1-core budget where the fan-out is inline — a real
-     4-domain spawn per 1-instance chunk would cost minutes, not test
-     more — and the true multi-domain fan-out runs at chunk sizes that
-     give every domain real work per round. *)
+     kernels and the generic loop, which have no fast engine and replay
+     through one session per lane group at every job count.
+     Adversarial chunk sizes (every instance a seam; one chunk spanning
+     past the end) run under a simulated 1-core budget, where one
+     session holds every lane, and under a real 4-domain budget, where
+     every batch of the recording is fanned out to several lane groups. *)
   QCheck.Test.make
     ~name:"batched fan-out == serial (k-kernels + generic walkers x chunk)"
     ~count:8
@@ -624,17 +592,20 @@ let prop_batch_fanout_equals_serial =
          [
            (module Net_k2 : Scheme.S);
            (module Pp_k2);
-           (module Net_generic);
-           (module Pp_generic);
-           (module Net_k2_generic);
-           (module Pp_k2_generic);
+           (module Generic_twins.Net_generic);
+           (module Generic_twins.Pp_generic);
+           (module Generic_twins.Net_k2_generic);
+           (module Generic_twins.Pp_k2_generic);
          ])
 
 let prop_run_many_mapped_equals_serial =
   (* The zero-copy mapped driver against the materialized reference:
      same outcomes and byte-identical event streams for every scheme, at
      jobs=1 and under a forced multi-domain fan-out (where all lane
-     groups walk one shared batch). *)
+     groups walk one shared batch).  Both sides run the same kernel, so
+     each kernel's mapped replay is also held to its generic twin's.
+     Frames of a few dozen instances declare paths across many frames,
+     so the sessions' per-path arrays grow mid-stream. *)
   QCheck.Test.make
     ~name:"run_many_mapped == run_many (+ events), serial and fanned out"
     ~count:10
@@ -642,7 +613,7 @@ let prop_run_many_mapped_equals_serial =
     (fun (((_, seed) as w), jobs) ->
        let _, recorded = record_spec w in
        let blob =
-         Serialize.Stream.to_string ~chunk_instances:(64 + (seed mod 97))
+         Serialize.Stream.to_string ~chunk_instances:(8 + (seed mod 41))
            recorded
        in
        let mapped () =
@@ -651,19 +622,25 @@ let prop_run_many_mapped_equals_serial =
          | Error _ -> QCheck.assume_fail ()
        in
        let delays = [ 1; 3; 7; 20; 100; 5_000 ] in
+       let mapped_equals materialized ?jobs scheme =
+         match Replay.run_many_mapped ?jobs scheme ~delays (mapped ()) with
+         | Error _ -> false
+         | Ok ms ->
+           List.length ms = List.length delays
+           && List.for_all2 outcome_equal materialized ms
+       in
        List.for_all
          (fun scheme ->
             let materialized = Replay.run_many scheme ~delays recorded in
-            let check ?jobs () =
-              match Replay.run_many_mapped ?jobs scheme ~delays (mapped ()) with
-              | Error _ -> false
-              | Ok ms ->
-                List.length ms = List.length delays
-                && List.for_all2 outcome_equal materialized ms
-            in
-            check ()
-            && Pool.with_domain_limit 4 (fun () -> check ~jobs ()))
+            mapped_equals materialized scheme
+            && Pool.with_domain_limit 4 (fun () ->
+                mapped_equals materialized ~jobs scheme))
          seam_schemes
+       && List.for_all
+         (fun (_, kernel, twin) ->
+            let materialized = Replay.run_many kernel ~delays recorded in
+            mapped_equals materialized kernel && mapped_equals materialized twin)
+         Generic_twins.pairs
        &&
        let mapped_bytes jobs =
          let buf = Buffer.create 4_096 in

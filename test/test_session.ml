@@ -88,6 +88,22 @@ let push_sliced sess (r : Recorder.t) g =
     off := !off + len
   done
 
+(* Same slicing as [push_sliced], but every slice refills one batch —
+   exactly the readers' shape, where each instance frame is decoded
+   into the same storage. *)
+let push_sliced_batch sess (r : Recorder.t) g =
+  let b = Batch.create ~capacity:8 () in
+  let n = Array.length r.Recorder.instances in
+  let off = ref 0 in
+  while !off < n do
+    let len = min g (n - !off) in
+    fill_batch b r !off len;
+    (match Session.push_batch sess b with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "push_batch (granularity %d): %s" g e);
+    off := !off + len
+  done
+
 let check_outcome label (a : Replay.outcome) (b : Session.outcome) =
   let chk name = Alcotest.(check int) (label ^ ": " ^ name) in
   Alcotest.(check string) (label ^ ": scheme") a.Replay.scheme_name
@@ -119,13 +135,23 @@ let check_outcomes label batch session =
 (* Differential: every scheme x fixture x granularity vs batch          *)
 (* ------------------------------------------------------------------ *)
 
+(* Each scheme against its own batch replay, plus each kernel's generic
+   twin against the kernel's batch replay: since batch replay runs
+   sessions too, the twins are what hold every kernel to the generic
+   loop on the push source. *)
+let differential =
+  List.map (fun (name, packed) -> (name, packed, packed)) schemes
+  @ List.map
+      (fun (name, kernel, twin) -> (name ^ "~generic", twin, kernel))
+      Generic_twins.pairs
+
 let test_differential_granularities () =
   List.iter
     (fun (fname, r) ->
       let n = Array.length r.Recorder.instances in
       List.iter
-        (fun (sname, packed) ->
-          let batch = Replay.run_many packed ~delays r in
+        (fun (sname, packed, reference) ->
+          let batch = Replay.run_many reference ~delays r in
           List.iter
             (fun g ->
               let sess = session_exn packed ~delays r in
@@ -133,31 +159,27 @@ let test_differential_granularities () =
               let label = Printf.sprintf "%s/%s/g=%d" fname sname g in
               check_outcomes label batch (Session.finish sess))
             (granularities n))
-        schemes)
+        differential)
     (fixtures ())
 
 let test_differential_single_push () =
-  (* The one-instance convenience API decodes arrival kinds itself. *)
+  (* Instance by instance: a one-instance push_batch per instance, all
+     through one reused batch. *)
   let r = Test_serialize.record_fixture () in
   List.iter
     (fun (sname, packed) ->
       let batch = Replay.run_many packed ~delays r in
       let sess = session_exn packed ~delays r in
-      Array.iteri
-        (fun i path_id ->
-          match Session.push sess ~path_id ~arrival:(Recorder.arrival r i) with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "push %d: %s" i e)
-        r.Recorder.instances;
+      push_sliced_batch sess r 1;
       check_outcomes ("push/" ^ sname) batch (Session.finish sess))
     schemes
 
 let test_differential_vs_stream () =
-  (* Three engines, one answer: batch, streamed reader, session. *)
+  (* Three sources, one answer: batch, streamed reader, session. *)
   let r = Test_serialize.record_calls () in
   List.iter
-    (fun (sname, packed) ->
-      let batch = Replay.run_many packed ~delays r in
+    (fun (sname, packed, reference) ->
+      let batch = Replay.run_many reference ~delays r in
       let streamed =
         match
           Replay.run_many_mapped packed ~delays
@@ -170,27 +192,7 @@ let test_differential_vs_stream () =
       let sess = session_exn packed ~delays r in
       push_sliced sess r 64;
       check_outcomes ("session/" ^ sname) batch (Session.finish sess))
-    schemes
-
-(* ------------------------------------------------------------------ *)
-(* One reused batch: the decoders' refill shape                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Same slicing as [push_sliced], but every slice refills one batch —
-   exactly the readers' shape, where each instance frame is decoded
-   into the same storage. *)
-let push_sliced_batch sess (r : Recorder.t) g =
-  let b = Batch.create ~capacity:8 () in
-  let n = Array.length r.Recorder.instances in
-  let off = ref 0 in
-  while !off < n do
-    let len = min g (n - !off) in
-    fill_batch b r !off len;
-    (match Session.push_batch sess b with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "push_batch (granularity %d): %s" g e);
-    off := !off + len
-  done
+    differential
 
 let test_push_batch_event_stream_identical () =
   let r = Test_serialize.record_fixture () in
@@ -412,7 +414,65 @@ let test_unlinted_session_still_validates_ids () =
   (match Session.push_batch sess b with
   | Ok () -> Alcotest.fail "invalid arrival code accepted"
   | Error _ -> ());
-  Alcotest.(check int) "nothing accepted" 0 (Session.instances sess)
+  Alcotest.(check int) "nothing accepted" 0 (Session.instances sess);
+  (* A batch whose length runs past its arrays is refused, linted or
+     not: the lane loops read slots [0, length) unchecked. *)
+  List.iter
+    (fun lint ->
+      let sess = session_exn ~lint (module Net) ~delays r in
+      List.iter
+        (fun n ->
+          let b = batch_of r 0 1 in
+          b.Batch.n <- (if n < 0 then n else Array.length b.Batch.ids + n);
+          match Session.push_batch sess b with
+          | Ok () -> Alcotest.failf "batch length %d accepted" b.Batch.n
+          | Error _ -> ())
+        [ -1; 1 ];
+      Alcotest.(check int) "nothing accepted" 0 (Session.instances sess))
+    [ false; true ]
+
+let test_bad_declared_path_refused () =
+  (* [Path_table.intern] takes any blocks, so an unlinted session can be
+     handed a table whose path head is not a program block.  The kernels
+     index block arrays by head unchecked; the per-path sync must refuse
+     the push with an [Error] — for every loop, before any state moves —
+     and must not crash. *)
+  let r = Test_serialize.record_fixture () in
+  let program = r.Recorder.program in
+  let n_blocks = Array.length program.Hotpath_cfg.Cfg.blocks in
+  let intern table ~head ~blocks =
+    let sigb = Hotpath_trace.Signature.Builder.create ~head in
+    Hotpath_trace.Path_table.intern table
+      (Hotpath_trace.Signature.Builder.freeze sigb)
+      ~blocks ~n_instrs:1 ~n_branches:0
+      ~end_kind:Hotpath_trace.Path.Program_end
+  in
+  List.iter
+    (fun (label, blocks) ->
+      List.iter
+        (fun (sname, packed) ->
+          let table = Hotpath_trace.Path_table.create () in
+          let good = intern table ~head:0 ~blocks:[| 0 |] in
+          let bad = intern table ~head:n_blocks ~blocks in
+          let sess =
+            match
+              Session.create ~lint:false packed ~delays ~program ~table
+            with
+            | Ok s -> s
+            | Error e -> Alcotest.failf "create: %s" e
+          in
+          let b = Batch.create ~capacity:2 () in
+          b.Batch.ids.(0) <- good;
+          b.Batch.ids.(1) <- bad;
+          Batch.set_length b 2;
+          (match Session.push_batch sess b with
+          | Ok () -> Alcotest.failf "%s/%s: bad path accepted" label sname
+          | Error _ -> ());
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s: nothing accepted" label sname)
+            0 (Session.instances sess))
+        schemes)
+    [ ("head past the program", [| n_blocks + 5 |]); ("no blocks", [||]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle edges                                                     *)
@@ -468,6 +528,8 @@ let suites =
           test_lint_rejects_without_mutation;
         Alcotest.test_case "unlinted sessions still validate input" `Quick
           test_unlinted_session_still_validates_ids;
+        Alcotest.test_case "declared path outside the program refused" `Quick
+          test_bad_declared_path_refused;
       ] );
     ( "session.lifecycle",
       [
