@@ -34,24 +34,6 @@ let jobs_arg =
     & opt pos_int (Hotpath_util.Pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let lane_jobs_arg =
-  let doc =
-    "Parallelize the sweep's trace walk over N domains (clamped to the \
-     machine's domain budget; the stream is sharded into chunks, not the \
-     delay lanes).  Points and emitted events are byte-identical at every \
-     job count."
-  in
-  let pos_int =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok n when n >= 1 -> Ok n
-      | Ok n -> Error (`Msg (Printf.sprintf "jobs must be >= 1, got %d" n))
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.int)
-  in
-  Arg.(value & opt pos_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
 let csv_arg =
   let doc = "Emit CSV instead of an aligned text table." in
   Arg.(value & flag & info [ "csv" ] ~doc)
@@ -287,7 +269,7 @@ let phases_cmd =
 (* ------------------------------------------------------------------ *)
 
 let sweep_cmd =
-  let run scale bench events events_window jobs =
+  let run scale bench events events_window =
     let module Sweep = Hotpath_metrics.Sweep in
     let b = Hotpath_workloads.Suite.find_exn bench in
     let r = Hotpath_experiments.Runs.load ~scale b in
@@ -295,7 +277,7 @@ let sweep_cmd =
       List.iter
         (fun (scheme_name, scheme) ->
            let points, timing =
-             Sweep.run_timed ~events:sink ~events_window ~jobs scheme
+             Sweep.run_timed ~events:sink ~events_window scheme
                r.Hotpath_experiments.Runs.recorded
                ~hot:r.Hotpath_experiments.Runs.hot ~delays:Sweep.default_delays
            in
@@ -316,11 +298,8 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:
          "Delay sweep for one benchmark, both schemes (all delays multiplexed \
-          through one trace pass; --jobs shards the instance stream over \
-          domains)")
-    Term.(
-      const run $ scale_arg $ bench_arg $ events_arg $ events_window_arg
-      $ lane_jobs_arg)
+          through one trace pass)")
+    Term.(const run $ scale_arg $ bench_arg $ events_arg $ events_window_arg)
 
 let dynamo_cmd =
   let run scale bench scheme delay events events_window =

@@ -70,21 +70,21 @@ let replay_events ?events ?is_hot ?events_window () =
 
 (* All delays are multiplexed through one traversal of the trace
    (Replay.run_many); a sweep costs one replay, not one per delay. *)
-let run ?events ?events_window ?jobs ?chunk scheme r ~hot ~delays =
+let run ?events ?events_window scheme r ~hot ~delays =
   let ev =
     replay_events ?events ~is_hot:(Hot_set.is_hot hot) ?events_window ()
   in
   let points =
     List.map
       (fun o -> point_of_outcome o hot)
-      (Replay.run_many ?events:ev ?jobs ?chunk scheme ~delays r)
+      (Replay.run_many ?events:ev scheme ~delays r)
   in
   Option.iter (fun sink -> emit_points sink scheme points) events;
   points
 
-let run_timed ?events ?events_window ?jobs ?chunk scheme r ~hot ~delays =
+let run_timed ?events ?events_window scheme r ~hot ~delays =
   let t0 = Unix.gettimeofday () in
-  let points = run ?events ?events_window ?jobs ?chunk scheme r ~hot ~delays in
+  let points = run ?events ?events_window scheme r ~hot ~delays in
   let wall_s = Unix.gettimeofday () -. t0 in
   let instances = Array.length r.Hotpath_trace.Recorder.instances in
   let instances_per_s =
@@ -98,11 +98,11 @@ let run_timed ?events ?events_window ?jobs ?chunk scheme r ~hot ~delays =
    frequencies, so it cannot exist before the trace has been walked; it
    is computed from the first outcome's [freq] (identical across lanes)
    after the single streamed traversal. *)
-let run_stream ?events ?events_window ?jobs scheme rd ~threshold ~delays =
+let run_stream ?events ?events_window scheme rd ~threshold ~delays =
   (* A single pass cannot know the hot set while it runs, so the streamed
      replay_window samples carry no hits/noise fields. *)
   let ev = replay_events ?events ?events_window () in
-  match Replay.run_many_mapped ?events:ev ?jobs scheme ~delays rd with
+  match Replay.run_many_mapped ?events:ev scheme ~delays rd with
   | Error _ as e -> e
   | Ok [] -> Ok []
   | Ok (o :: _ as outcomes) ->
@@ -111,11 +111,9 @@ let run_stream ?events ?events_window ?jobs scheme rd ~threshold ~delays =
     Option.iter (fun sink -> emit_points sink scheme points) events;
     Ok points
 
-let run_stream_timed ?events ?events_window ?jobs scheme rd ~threshold ~delays
-    =
+let run_stream_timed ?events ?events_window scheme rd ~threshold ~delays =
   let t0 = Unix.gettimeofday () in
-  match run_stream ?events ?events_window ?jobs scheme rd ~threshold ~delays
-  with
+  match run_stream ?events ?events_window scheme rd ~threshold ~delays with
   | Error _ as e -> e
   | Ok points ->
     let wall_s = Unix.gettimeofday () -. t0 in

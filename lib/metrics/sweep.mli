@@ -28,8 +28,6 @@ val default_delays : int list
 val run :
   ?events:Hotpath_util.Events.sink ->
   ?events_window:int ->
-  ?jobs:int ->
-  ?chunk:int ->
   Hotpath_prediction.Scheme.packed ->
   Hotpath_trace.Recorder.t ->
   hot:Hot_set.t ->
@@ -37,12 +35,7 @@ val run :
   point list
 (** One point per delay, in the given order.  All delays are multiplexed
     through a single traversal of the trace ({!Replay.run_many}), so a
-    full sweep costs one replay rather than one per delay.  [jobs]
-    (default 1) parallelizes that traversal along the instance stream in
-    [chunk]-sized segments ({!Replay.run_many}'s chunk sharding; worker
-    count is clamped to the machine's domain budget); the points — and
-    any emitted events — are byte-identical for every job count and
-    chunk size.
+    full sweep costs one replay rather than one per delay.
 
     When [events] is a live sink, the replay emits per-window
     [replay_window] samples (every [events_window] instances; hits/noise
@@ -53,8 +46,6 @@ val run :
 val run_timed :
   ?events:Hotpath_util.Events.sink ->
   ?events_window:int ->
-  ?jobs:int ->
-  ?chunk:int ->
   Hotpath_prediction.Scheme.packed ->
   Hotpath_trace.Recorder.t ->
   hot:Hot_set.t ->
@@ -66,7 +57,6 @@ val run_timed :
 val run_stream :
   ?events:Hotpath_util.Events.sink ->
   ?events_window:int ->
-  ?jobs:int ->
   Hotpath_prediction.Scheme.packed ->
   Hotpath_trace.Serialize.Stream.reader ->
   threshold:float ->
@@ -81,14 +71,11 @@ val run_stream :
     [hot = Hot_set.compute ... ~threshold] on the materialized trace.
     Stream decode errors surface as [Error].  [events] behaves as in
     {!run} except the single-pass [replay_window] samples omit
-    hits/noise — the hot set does not exist until the walk ends.  [jobs]
-    fans each decoded frame over lane groups
-    ({!Replay.run_many_mapped}); results stay byte-identical. *)
+    hits/noise — the hot set does not exist until the walk ends. *)
 
 val run_stream_timed :
   ?events:Hotpath_util.Events.sink ->
   ?events_window:int ->
-  ?jobs:int ->
   Hotpath_prediction.Scheme.packed ->
   Hotpath_trace.Serialize.Stream.reader ->
   threshold:float ->

@@ -68,16 +68,8 @@ val run :
   outcome
 (** @raise Invalid_argument when [delay < 1]. *)
 
-val default_chunk : int
-(** 65,536 instances — the default batch size when several lane groups
-    replay a recording, and the compressed engines' chunk (big enough
-    to amortize handing a batch to other domains, small enough to keep
-    chunk-local side arrays in cache). *)
-
 val run_many :
   ?events:events ->
-  ?jobs:int ->
-  ?chunk:int ->
   Scheme.packed ->
   delays:int list ->
   Hotpath_trace.Recorder.t ->
@@ -89,36 +81,19 @@ val run_many :
     purely an amortization of the trace walk (delay sweeps drop from
     O(delays × trace) to O(trace) instance reads).
 
-    [jobs] (default 1) splits the delay lanes into contiguous groups,
-    one {!Session} each, as many as
-    {!Hotpath_util.Pool.effective_workers} allows (the raw [jobs] ask
-    never oversubscribes a small machine).  The recording is copied
-    into one reused batch at a time, and every group replays each
-    batch, with all lane state carried across the seams.  Batches hold
-    [chunk] instances (default {!default_chunk}) when there are several
-    groups, and at most 4,096 when there is one, which keeps the batch
-    in cache and the replay's major-heap allocation small.
-    With events off, NET, NET-once and path-profile at [jobs > 1]
-    instead replay from compressed summaries of the recording
-    (loop-head runs, occurrence-threshold triggers) rather than
-    re-walking raw instances, which is why [jobs = 4] beats [jobs = 1]
-    even on one core.  Results are byte-identical to [jobs = 1] for
-    every job count and chunk size — property-tested per scheme,
-    including the event stream: windows are buffered per group and
-    merged back into the exact serial emission order.
-    {!instance_reads} counts the logical traversal once
-    ([+ length trace]) regardless of [jobs].  When [jobs > 1] and
-    events carry an [is_hot] closure, that closure is called from
-    worker domains and must be domain-safe (the hot-set predicates in
-    {!Hotpath_metrics} are pure array lookups).
-    @raise Invalid_argument when any delay is [< 1], [jobs < 1] or
-    [chunk < 1]. *)
+    One {!Session} holds every delay lane and runs on the calling
+    domain.  The recording is copied into one reused batch of at most
+    4,096 instances at a time, which keeps the batch in cache and the
+    replay's major-heap allocation small; all lane state carries across
+    the seams, so results do not depend on the slice size.
+    {!instance_reads} counts the traversal once ([+ length trace]).
+    @raise Invalid_argument when any delay is [< 1]. *)
 
 (** {1 Lane loops}
 
     Every replay — materialized ({!run_many}), mapped or pulled
-    ({!run_many_mapped}), and pushed ({!Session}) — runs one lane group
-    per {!Session} over {!Hotpath_trace.Batch.t}s, and each scheme
+    ({!run_many_mapped}), and pushed ({!Session}) — runs one
+    {!Session} over {!Hotpath_trace.Batch.t}s, and each scheme
     family has exactly one lane loop ({!Session.kernel}): the built-in
     NET variants, path-profile, path-profile-k and NET-k get kernels
     that flatten the scheme's hashtable state into dense arrays, and
@@ -134,12 +109,7 @@ module Make (S : Scheme.S) : sig
     ?events:events -> delay:int -> Hotpath_trace.Recorder.t -> outcome
 
   val run_many :
-    ?events:events ->
-    ?jobs:int ->
-    ?chunk:int ->
-    delays:int list ->
-    Hotpath_trace.Recorder.t ->
-    outcome list
+    ?events:events -> delays:int list -> Hotpath_trace.Recorder.t -> outcome list
 end
 
 val run_mapped :
@@ -160,32 +130,23 @@ val run_mapped :
 
 val run_many_mapped :
   ?events:events ->
-  ?jobs:int ->
   Scheme.packed ->
   delays:int list ->
   Hotpath_trace.Serialize.Stream.reader ->
   (outcome list, string) result
 (** Multiplexed {!run_mapped}: a single traversal of the stream, one
     outcome per delay, each identical to the materialized
-    [run ~delay].  An empty [delays] returns [Ok []] without touching
-    the reader.
-
-    [jobs] (default 1) fans each decoded frame out over contiguous lane
-    groups (clamped to the domain budget, like {!run_many}).  All
-    groups replay the same shared batch, so jobs > 1 adds no decode
-    work and no copies; lane state carries across frame seams inside
-    its owning group, so results and the merged event stream are
-    byte-identical at every job count, and {!instance_reads} still
-    counts the stream once.
-    @raise Invalid_argument when any delay is [< 1] or [jobs < 1]. *)
+    [run ~delay].  Each decoded frame is pushed to one {!Session} that
+    holds every lane, so lane state carries across frame seams and
+    {!instance_reads} counts the stream once.  An empty [delays]
+    returns [Ok []] without touching the reader.
+    @raise Invalid_argument when any delay is [< 1]. *)
 
 val instance_reads : unit -> int
-(** Total logical instance-stream reads performed by {!run}/{!run_many}
-    since the last {!reset_instance_reads} — the observable backing the
-    one-pass guarantee of {!run_many} ([run_many ~delays] adds
-    [length trace], not [length delays * length trace], and [?jobs]
-    does not change that: sharding parallelizes the one logical
-    traversal, it never multiplies it). *)
+(** Total logical instance-stream reads performed by replay since the
+    last {!reset_instance_reads} — the observable backing the one-pass
+    guarantee of {!run_many}: [run_many ~delays] adds [length trace],
+    not [length delays * length trace]. *)
 
 val reset_instance_reads : unit -> unit
 

@@ -49,22 +49,13 @@ type outcome = {
 (** One delay lane's result; identical to [Replay.outcome] (which is a
     re-export of this type). *)
 
-type events = {
-  ev_sink : Events.sink;
-  ev_window : int;
-  ev_is_hot : (int -> bool) option;
-}
-(** Event-emission configuration, shared with [Replay].  Exposed
-    concretely so drivers can rebind [ev_sink] (per-group line buffers in
-    parallel replay). *)
+type events
+(** Event-emission configuration, shared with [Replay]. *)
 
 val default_events_window : int
 
 val events : ?window:int -> ?is_hot:(int -> bool) -> Events.sink -> events
 (** See [Replay.events].  @raise Invalid_argument when [window < 1]. *)
-
-val live : events option -> events option
-(** Treat a null-sink events value as disabled. *)
 
 (** {1 Lane loops}
 

@@ -2,15 +2,14 @@
 
    Everything a replay lane loop reads per instance lives here as a
    plain int array: path ids and arrival codes.  Instance frames (or
-   recording slices) are copied into a batch exactly once; every lane
-   group then walks the cache-resident arrays instead of re-reading
+   recording slices) are copied into a batch exactly once; the session's
+   lane loops then walk the cache-resident arrays instead of re-reading
    bytes.
 
    A batch is a scratch buffer owned by whoever fills it.  Consumers
-   (sessions, replay lane groups) may read [ids]/[arrs] for indices
-   [0, n), concurrently from several domains, but must never retain the
-   arrays past the call that handed them the batch: the next fill
-   reuses the same storage. *)
+   (sessions, the incremental linter) may read [ids]/[arrs] for indices
+   [0, n), but must never retain the arrays past the call that handed
+   them the batch: the next fill reuses the same storage. *)
 
 type t = {
   mutable n : int;  (* valid prefix length of every array below *)

@@ -9,10 +9,9 @@
 
     {b Lifetime rules.}  A batch is a scratch buffer owned by its
     filler.  Readers may access indices [0, length t) of {!ids} and
-    {!arrs}, concurrently from several domains; they must not
-    retain the arrays past the call that handed them the batch — the
-    next fill writes over the same storage, and growth swaps the arrays
-    out entirely. *)
+    {!arrs}; they must not retain the arrays past the call that handed
+    them the batch — the next fill writes over the same storage, and
+    growth swaps the arrays out entirely. *)
 
 type t = {
   mutable n : int;

@@ -3,29 +3,12 @@ module Vm = Hotpath_vm.Vm
 module Behavior = Hotpath_vm.Behavior
 module Vec = Hotpath_util.Vec
 
-type descriptors = {
-  d_heads : int array;
-  d_branches : int array;
-  d_blocks : int array;
-}
-
-type loop_index = {
-  li_idx : int array;
-  li_occ : int array;
-  li_run_pid : int array;
-  li_run_off : int array;
-  li_run_len : int array;
-  li_freq : int array;
-}
-
 type t = {
   program : Cfg.program;
   table : Path_table.t;
   instances : int array;
   arrivals : Bytes.t;
   vm_stats : Vm.run_stats;
-  cache_descriptors : descriptors option Atomic.t;
-  cache_loop_index : loop_index option Atomic.t;
 }
 
 let arrival_code = function
@@ -142,8 +125,6 @@ let record ?max_steps ?max_paths ?max_stack program behavior ~rng =
       instances = Vec.to_array instances;
       arrivals = Buffer.to_bytes arrivals;
       vm_stats;
-      cache_descriptors = Atomic.make None;
-      cache_loop_index = Atomic.make None;
     }
 
 let of_parts ~program ~table ~instances ~arrivals ~vm_stats =
@@ -187,8 +168,6 @@ let of_parts ~program ~table ~instances ~arrivals ~vm_stats =
                 instances;
                 arrivals;
                 vm_stats;
-                cache_descriptors = Atomic.make None;
-                cache_loop_index = Atomic.make None;
               })
     end
 
@@ -199,89 +178,6 @@ let lint t =
 let num_instances t = Array.length t.instances
 
 let num_paths t = Path_table.size t.table
-
-(* Lazily computed, atomically published caches.  Replay is fanned out
-   over domains by the experiment layer, so two domains may race to fill
-   a cache; compare-and-set keeps one winner and the loser adopts it —
-   the computed value is a pure function of the (immutable) recording, so
-   either copy is correct. *)
-let cached cell compute =
-  match Atomic.get cell with
-  | Some v -> v
-  | None ->
-    let v = compute () in
-    if Atomic.compare_and_set cell None (Some v) then v
-    else Option.get (Atomic.get cell)
-
-let descriptors t =
-  cached t.cache_descriptors (fun () ->
-      let n_paths = Path_table.size t.table in
-      let d_heads = Array.make n_paths 0
-      and d_branches = Array.make n_paths 0
-      and d_blocks = Array.make n_paths 0 in
-      Path_table.iter
-        (fun p ->
-           d_heads.(p.Path.id) <- Path.head p;
-           d_branches.(p.Path.id) <- p.Path.n_branches;
-           d_blocks.(p.Path.id) <- Array.length p.Path.blocks)
-        t.table;
-      { d_heads; d_branches; d_blocks })
-
-(* The NET replay kernels consume the trace only through its loop-head
-   events (index + running occurrence count of the event's own path)
-   grouped into maximal same-path runs per head — everything else is
-   closed form over the final frequencies.  That compression is a pure
-   function of the recording, so compute it once here and let every
-   replay of the recording skip the raw-instance walk entirely.  A run
-   is maximal over *consecutive loop-head events*; the chunk-sharded
-   engine may split it anywhere, since a split run is just two shorter
-   runs advancing the same carried counter. *)
-let loop_index t =
-  cached t.cache_loop_index (fun () ->
-      let d = descriptors t in
-      let heads = d.d_heads in
-      let instances = t.instances in
-      let arrivals = t.arrivals in
-      let n = Array.length instances in
-      let n_blocks = Array.length t.program.Cfg.blocks in
-      let freq = Array.make (Path_table.size t.table) 0 in
-      let open_run = Array.make n_blocks (-1) in
-      let idx = Vec.create () and occ = Vec.create () in
-      let run_pid = Vec.create ()
-      and run_off = Vec.create ()
-      and run_len = Vec.create () in
-      for i = 0 to n - 1 do
-        let pid = Array.unsafe_get instances i in
-        let f = Array.unsafe_get freq pid + 1 in
-        Array.unsafe_set freq pid f;
-        if Bytes.unsafe_get arrivals i = '\000' (* loop head *) then begin
-          let j = Vec.length idx in
-          Vec.push idx i;
-          Vec.push occ f;
-          let h = Array.unsafe_get heads pid in
-          let ri = Array.unsafe_get open_run h in
-          if
-            ri >= 0
-            && Vec.get run_pid ri = pid
-            && Vec.get run_off ri + Vec.get run_len ri = j
-          then Vec.set run_len ri (Vec.get run_len ri + 1)
-          else begin
-            let ri = Vec.length run_pid in
-            Vec.push run_pid pid;
-            Vec.push run_off j;
-            Vec.push run_len 1;
-            Array.unsafe_set open_run h ri
-          end
-        end
-      done;
-      {
-        li_idx = Vec.to_array idx;
-        li_occ = Vec.to_array occ;
-        li_run_pid = Vec.to_array run_pid;
-        li_run_off = Vec.to_array run_off;
-        li_run_len = Vec.to_array run_len;
-        li_freq = freq;
-      })
 
 let instance_path t i = Path_table.path t.table t.instances.(i)
 

@@ -10,30 +10,6 @@
 
 module Cfg = Hotpath_cfg.Cfg
 
-type descriptors = private {
-  d_heads : int array;  (** Per path id: head block. *)
-  d_branches : int array;  (** Per path id: branches on the path. *)
-  d_blocks : int array;  (** Per path id: blocks on the path. *)
-}
-(** Per-path descriptors in dense arrays, the form the compressed
-    replay engines read them in. *)
-
-type loop_index = private {
-  li_idx : int array;  (** Per loop-head event: instance index. *)
-  li_occ : int array;
-      (** Per loop-head event: occurrence count of the event's own path,
-          that event included (running, trace-global). *)
-  li_run_pid : int array;  (** Per run: the repeated path id. *)
-  li_run_off : int array;  (** Per run: first event (index into [li_idx]). *)
-  li_run_len : int array;  (** Per run: events in the run (>= 1). *)
-  li_freq : int array;  (** Final execution count per path id. *)
-}
-(** The trace compressed to what the NET replay kernels consume: the
-    loop-head event stream, grouped into maximal runs of consecutive
-    events repeating one path, plus final frequencies.  A run split at
-    any point is two shorter runs advancing the same counter, so
-    chunk-sharded consumers may window it freely. *)
-
 type t = private {
   program : Cfg.program;
   table : Path_table.t;
@@ -42,10 +18,6 @@ type t = private {
       (** Head kind per instance, encoded: 0 = loop head, 1 = entry,
           2 = continuation. *)
   vm_stats : Hotpath_vm.Vm.run_stats;
-  cache_descriptors : descriptors option Atomic.t;
-      (** Internal {!descriptors} cache — do not touch. *)
-  cache_loop_index : loop_index option Atomic.t;
-      (** Internal {!loop_index} cache — do not touch. *)
 }
 
 val record :
@@ -138,20 +110,6 @@ val instance_path : t -> int -> Path.t
 (** Path executed by instance [i]. *)
 
 val arrival : t -> int -> Path.head_kind
-
-val descriptors : t -> descriptors
-(** Per-path head/branch-count/block-count arrays.  Computed on first
-    use and cached in the recording (atomically — replay is fanned out
-    over domains), so the per-traversal cost replay used to pay is paid
-    once per recording. *)
-
-val loop_index : t -> loop_index
-(** The loop-head event/run compression of the trace, computed on first
-    use and cached like {!descriptors}.  Replaying a recording many
-    times (delay sweeps, repeated [?jobs] runs) then never re-walks the
-    raw instance stream for NET — the kernels read the runs directly.
-    Costs a few words per loop-head event, held for the recording's
-    lifetime. *)
 
 val frequencies : t -> int array
 (** Execution count per path id — the paper's [freq(p)]. *)

@@ -104,19 +104,6 @@ let emit sink ~kind fields =
     Buffer.output_buffer c.oc c.buf;
     c.lines <- c.lines + 1
 
-(* Re-emission of an already-serialized line: the deterministic merge of
-   per-domain event buffers (parallel replay) forwards lines verbatim so
-   the merged stream is byte-identical to the serial one. *)
-let raw sink line =
-  match sink with
-  | Null -> ()
-  | Fn f ->
-    f.fn line;
-    f.lines <- f.lines + 1
-  | Chan c ->
-    output_string c.oc line;
-    c.lines <- c.lines + 1
-
 (* ------------------------------------------------------------------ *)
 (* Typed constructors                                                  *)
 (* ------------------------------------------------------------------ *)

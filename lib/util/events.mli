@@ -33,9 +33,6 @@ val null : sink
 
 val is_null : sink -> bool
 
-val of_fn : (string -> unit) -> sink
-(** [of_fn f] calls [f] with each serialized line (newline included). *)
-
 val of_buffer : Buffer.t -> sink
 
 val of_channel : out_channel -> sink
@@ -56,12 +53,6 @@ val emit : sink -> kind:string -> (string * value) list -> unit
     [kind] followed by [fields] in the given order.  Field names must be
     distinct from ["ev"]; no escaping is applied to names (use plain
     identifiers). *)
-
-val raw : sink -> string -> unit
-(** [raw sink line] forwards an already-serialized event line (newline
-    included) verbatim, counting it like {!emit}.  Used by parallel
-    replay to merge per-domain event buffers deterministically; not a
-    general emission entry point. *)
 
 (** {1 Typed event constructors}
 

@@ -43,8 +43,6 @@ let clamp_jobs jobs =
   if jobs < 1 then invalid_arg "Pool: jobs must be >= 1";
   min jobs (available_domains ())
 
-let effective_workers ~jobs = clamp_jobs jobs
-
 let default_jobs () = available_domains ()
 
 let with_lock q f =

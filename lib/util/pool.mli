@@ -21,32 +21,22 @@ val default_jobs : unit -> int
     [--jobs] default for CPU-bound sweeps.  Honours
     {!with_domain_limit}. *)
 
-val effective_workers : jobs:int -> int
-(** [min jobs (available domains)] — the worker count a capped
-    {!map_array} call with [jobs] would actually use.  Callers whose
-    fan-out width must match the real domain budget (replay's chunk
-    engine shards work by this number, never by the raw [jobs] ask)
-    compute it here so a [jobs = 8] request on a 1-core machine runs one
-    worker instead of oversubscribing eight domains.
-    @raise Invalid_argument when [jobs < 1]. *)
-
 val with_domain_limit : int -> (unit -> 'a) -> 'a
 (** [with_domain_limit n f] runs [f] with the machine's domain budget
     overridden to [n] (both directions: [1] simulates a single-core
     machine; a large [n] forces real multi-domain fan-out on small CI
-    hosts).  Affects {!default_jobs}, {!effective_workers} and capped
-    {!map_array} calls for the dynamic extent of [f]; restored on exit,
-    exceptions included.  The override is process-global — intended for
-    tests, not for concurrent production use.
+    hosts).  Affects {!default_jobs} and capped {!map_array} calls for
+    the dynamic extent of [f]; restored on exit, exceptions included.
+    The override is process-global — intended for tests, not for
+    concurrent production use.
     @raise Invalid_argument when [n < 1]. *)
 
 val map : ?cap:bool -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [cap] (default [true]) limits workers to the machine's domain
-    budget ({!effective_workers}).  [~cap:false] honours [jobs] exactly
-    and can oversubscribe a small machine — an escape hatch for tests
-    that need a known concurrent worker count (e.g. barrier tests);
-    production fan-out should stay capped and size its shards with
-    {!effective_workers} instead.
+(** [cap] (default [true]) caps the worker count at the machine's
+    domain budget ({!default_jobs}).  [~cap:false] honours [jobs]
+    exactly and can oversubscribe a small machine — an escape hatch for
+    tests that need a known concurrent worker count (e.g. barrier
+    tests); production fan-out should stay capped.
     @raise Invalid_argument when [jobs < 1]. *)
 
 val map_array : ?cap:bool -> jobs:int -> ('a -> 'b) -> 'a array -> 'b array

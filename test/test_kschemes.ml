@@ -35,7 +35,6 @@ module Schemes = Hotpath_prediction.Schemes
 module Replay = Hotpath_prediction.Replay
 module Suite = Hotpath_workloads.Suite
 module Events = Hotpath_util.Events
-module Pool = Hotpath_util.Pool
 
 let delays = [ 1; 7; 50 ]
 
@@ -84,33 +83,16 @@ let check_outcomes_sans_name label xs ys =
 (* ------------------------------------------------------------------ *)
 
 (* The CI gate for the reduction: all nine benchmarks, both pairs, the
-   base scheme replayed serially and the k1 scheme through every
-   jobs/chunk engine.  jobs = 4 runs under a real 4-domain budget (the
-   fan-out clamps to available cores; results are identical either
-   way). *)
+   k1 scheme replayed against its base scheme. *)
 let test_k1_equals_base_all_benchmarks () =
   List.iter
     (fun (bname, r) ->
        List.iter
          (fun (kname, kscheme, base_name, base) ->
-            let expected = Replay.run_many base ~delays r in
-            List.iter
-              (fun (jobs, chunk) ->
-                 let got =
-                   Pool.with_domain_limit 4 (fun () ->
-                       Replay.run_many ~jobs ~chunk kscheme ~delays r)
-                 in
-                 check_outcomes_sans_name
-                   (Printf.sprintf "%s: %s==%s jobs=%d chunk=%d" bname kname
-                      base_name jobs chunk)
-                   expected got)
-              [
-                (1, Replay.default_chunk);
-                (1, 997);
-                (4, Replay.default_chunk);
-                (4, 1);
-                (4, 997);
-              ])
+            check_outcomes_sans_name
+              (Printf.sprintf "%s: %s==%s" bname kname base_name)
+              (Replay.run_many base ~delays r)
+              (Replay.run_many kscheme ~delays r))
          k1_pairs)
     (Lazy.force recordings)
 
@@ -194,14 +176,7 @@ let test_kernels_equal_generic () =
             let generic = Replay.run_many (wrap packed) ~delays r in
             check_outcomes_sans_name
               (Printf.sprintf "%s-k%d kernel==generic" family k)
-              generic kernel;
-            let sharded =
-              Pool.with_domain_limit 4 (fun () ->
-                  Replay.run_many ~jobs:4 ~chunk:997 packed ~delays r)
-            in
-            check_outcomes_sans_name
-              (Printf.sprintf "%s-k%d sharded==generic" family k)
-              generic sharded)
+              generic kernel)
          [ ("net", Net_k.make); ("path-profile", Path_profile_k.make) ])
     [ 2; 3 ]
 
@@ -392,7 +367,7 @@ let suites =
   [
     ( "kschemes.reduction",
       [
-        Alcotest.test_case "k1 == base across suite x jobs x chunks" `Quick
+        Alcotest.test_case "k1 == base across suite" `Quick
           test_k1_equals_base_all_benchmarks;
         Alcotest.test_case "k1 event streams and registry" `Quick
           test_k1_event_streams_and_registry;

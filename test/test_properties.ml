@@ -20,7 +20,6 @@ module Ball_larus = Hotpath_profiling.Ball_larus
 module Cost_model = Hotpath_dynamo.Cost_model
 module Engine = Hotpath_dynamo.Engine
 module Prng = Hotpath_util.Prng
-module Pool = Hotpath_util.Pool
 
 (* ------------------------------------------------------------------ *)
 (* Random workload specs                                               *)
@@ -343,76 +342,18 @@ let prop_run_many_stream_equals_run_many =
            (module Path_profile);
          ])
 
-let prop_run_many_stream_jobs_equals_serial =
-  QCheck.Test.make
-    ~name:"run_many_stream ?jobs == serial stream (all schemes)" ~count:10
-    QCheck.(pair arb_workload (int_range 2 4))
-    (fun (((_, seed) as w), jobs) ->
-       let _, recorded = record_spec w in
-       (* Moderate frames: each decoded frame is one fan-out round, so
-          frame size controls how many seams the lane groups cross. *)
-       let rd () =
-         Serialize.Stream.of_recorder
-           ~chunk_instances:(64 + (seed mod 97))
-           recorded
-       in
-       let delays = [ 1; 3; 7; 20; 100; 5_000 ] in
-       List.for_all
-         (fun scheme ->
-            match Replay.run_many_mapped scheme ~delays (rd ()) with
-            | Error _ -> false
-            | Ok serial ->
-              Pool.with_domain_limit 4 (fun () ->
-                  match
-                    Replay.run_many_mapped ~jobs scheme ~delays (rd ())
-                  with
-                  | Error _ -> false
-                  | Ok sharded -> List.for_all2 outcome_equal serial sharded))
-         [
-           (module Net : Scheme.S);
-           (module Net.Net_once);
-           (module Net.Last_executed_tail);
-           (module Path_profile);
-         ]
-       &&
-       (* The streamed event merge must also reproduce serial bytes. *)
-       let stream_bytes jobs =
-         let buf = Buffer.create 4_096 in
-         let ev = Replay.events ~window:97 (Hotpath_util.Events.of_buffer buf) in
-         match
-           Replay.run_many_mapped ~events:ev ~jobs (module Net) ~delays (rd ())
-         with
-         | Error _ -> None
-         | Ok _ -> Some (Buffer.contents buf)
-       in
-       match stream_bytes 1 with
-       | None -> false
-       | Some serial ->
-         serial <> ""
-         && Pool.with_domain_limit 4 (fun () -> stream_bytes jobs = Some serial))
-
 let prop_run_many_single_pass =
-  QCheck.Test.make
-    ~name:"run_many reads the trace exactly once, at every job count"
-    ~count:20 arb_workload
+  QCheck.Test.make ~name:"run_many reads the trace exactly once" ~count:20
+    arb_workload
     (fun w ->
        let _, recorded = record_spec w in
-       let n = Recorder.num_instances recorded in
-       let delays = [ 1; 5; 25; 125; 625 ] in
-       let reads_of jobs =
-         let before = Replay.instance_reads () in
-         ignore (Replay.run_many ~jobs (module Net) ~delays recorded);
-         Replay.instance_reads () - before
-       in
-       (* ?jobs parallelizes the one logical traversal — the documented
-          [+ length trace] must hold whether the fan-out is clamped away
-          (1-core machine) or running on real domains. *)
-       reads_of 1 = n
-       && reads_of 4 = n
-       && Pool.with_domain_limit 4 (fun () -> reads_of 4 = n))
+       let before = Replay.instance_reads () in
+       ignore
+         (Replay.run_many (module Net) ~delays:[ 1; 5; 25; 125; 625 ] recorded);
+       Replay.instance_reads () - before = Recorder.num_instances recorded)
 
 (* ------------------------------------------------------------------ *)
-(* Monomorphized kernels and lane sharding                             *)
+(* Monomorphized kernels                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* The packed entry points dispatch the built-in schemes to specialized
@@ -453,98 +394,6 @@ let prop_functor_equals_packed =
              fun ~delay r -> Make_pp.run ~delay r );
          ])
 
-(* The chunk-seam hand-off is the correctness core of sharded replay:
-   scheme state carries across every chunk boundary, so any chunking of
-   the instance stream must replay to the same bits as the serial walk.
-   Chunk size and worker count are orthogonal axes — the seam protocol
-   is exercised under a simulated 1-core machine (inline, every chunk a
-   seam), the domain fan-out and merge under a forced 4-domain budget
-   so both run regardless of the CI host's real core count. *)
-let seam_schemes =
-  [
-    (module Net : Scheme.S);
-    (module Net.Net_once);
-    (module Net.Last_executed_tail);
-    (module Path_profile);
-  ]
-
-let prop_chunk_seam_equals_serial =
-  QCheck.Test.make
-    ~name:"chunk-sharded run_many == serial (schemes x jobs x chunk)"
-    ~count:10 arb_workload
-    (fun w ->
-       let _, recorded = record_spec w in
-       let n = Recorder.num_instances recorded in
-       let delays = [ 1; 3; 7; 20; 100; 5_000 ] in
-       (* Adversarial chunk sizes: every instance a seam, a prime that
-          never aligns with anything, one chunk spanning past the end. *)
-       let chunks = [ 1; 13; n + 1 ] in
-       List.for_all
-         (fun scheme ->
-            let serial = Replay.run_many scheme ~delays recorded in
-            Pool.with_domain_limit 1 (fun () ->
-                List.for_all
-                  (fun jobs ->
-                     List.for_all
-                       (fun chunk ->
-                          List.for_all2 outcome_equal serial
-                            (Replay.run_many ~jobs ~chunk scheme ~delays
-                               recorded))
-                       chunks)
-                  [ 1; 2; 3; 4 ]))
-         seam_schemes)
-
-let prop_multi_domain_shards_equal_serial =
-  QCheck.Test.make
-    ~name:"chunk-sharded run_many == serial on a real 4-domain budget"
-    ~count:10
-    QCheck.(pair arb_workload (int_range 2 9))
-    (fun (w, jobs) ->
-       let _, recorded = record_spec w in
-       (* More jobs than the budget is legal: the fan-out clamps. *)
-       let delays = [ 1; 3; 7; 20; 100; 5_000 ] in
-       List.for_all
-         (fun scheme ->
-            let serial = Replay.run_many scheme ~delays recorded in
-            Pool.with_domain_limit 4 (fun () ->
-                List.for_all2 outcome_equal serial
-                  (Replay.run_many ~jobs ~chunk:37 scheme ~delays recorded)))
-         seam_schemes)
-
-let prop_sharded_events_byte_identical =
-  (* Chunk-sharded replay samples into per-worker buffers that are
-     merged after the join; the merged stream must reproduce the serial
-     emission to the byte, window samples and is_hot hits/noise
-     included.  Forced 4-domain budget so the merge path runs even on a
-     1-core CI machine. *)
-  QCheck.Test.make
-    ~name:"chunk-sharded event stream is byte-identical to serial" ~count:15
-    QCheck.(pair arb_workload (int_range 2 6))
-    (fun (w, jobs) ->
-       let _, recorded = record_spec w in
-       let n = Recorder.num_instances recorded in
-       n = 0
-       ||
-       let hot =
-         Hot_set.compute
-           ~freq:(Recorder.frequencies recorded)
-           ~total_flow:n ~threshold:0.01
-       in
-       let stream_bytes jobs =
-         let buf = Buffer.create 4_096 in
-         let ev =
-           Replay.events ~window:97 ~is_hot:(Hot_set.is_hot hot)
-             (Hotpath_util.Events.of_buffer buf)
-         in
-         ignore
-           (Replay.run_many ~events:ev ~jobs ~chunk:61 (module Net)
-              ~delays:[ 1; 3; 7; 20; 100 ] recorded);
-         Buffer.contents buf
-       in
-       let serial = stream_bytes 1 in
-       String.length serial > 0
-       && Pool.with_domain_limit 4 (fun () -> stream_bytes jobs = serial))
-
 let prop_replay_capture_monotone_in_delay =
   QCheck.Test.make ~name:"captured flow shrinks as delay grows" ~count:30
     arb_workload
@@ -556,61 +405,93 @@ let prop_replay_capture_monotone_in_delay =
        captured 2 >= captured 8 && captured 8 >= captured 64)
 
 (* ------------------------------------------------------------------ *)
-(* Lane groups over batches: materialized and mapped sources           *)
+(* Batch seams: push granularity and mapped sources                    *)
 (* ------------------------------------------------------------------ *)
 
+module Batch = Hotpath_trace.Batch
+module Session = Hotpath_prediction.Session
 module Net_k2 = Generic_twins.Net_k2
 module Pp_k2 = Generic_twins.Pp_k2
 
-let prop_batch_fanout_equals_serial =
-  (* Covers what [prop_chunk_seam_equals_serial] cannot: the k-iteration
-     kernels and the generic loop, which have no fast engine and replay
-     through one session per lane group at every job count.
-     Adversarial chunk sizes (every instance a seam; one chunk spanning
-     past the end) run under a simulated 1-core budget, where one
-     session holds every lane, and under a real 4-domain budget, where
-     every batch of the recording is fanned out to several lane groups. *)
+(* The paper's schemes: every NET variant and path-profile. *)
+let paper_schemes =
+  [
+    (module Net : Scheme.S);
+    (module Net.Net_once);
+    (module Net.Last_executed_tail);
+    (module Path_profile);
+  ]
+
+(* Push [r] into a fresh session in slices of [g] instances, every slice
+   refilling one batch (the readers' shape); [None] on any error. *)
+let push_in_slices scheme ~delays (r : Recorder.t) g =
+  match
+    Session.create scheme ~delays ~program:r.Recorder.program
+      ~table:r.Recorder.table
+  with
+  | Error _ -> None
+  | Ok sess ->
+    let n = Recorder.num_instances r and b = Batch.create ~capacity:1 () in
+    let rec push off =
+      if off >= n then Some (Session.finish sess)
+      else begin
+        let m = min g (n - off) in
+        Batch.ensure b m;
+        for j = 0 to m - 1 do
+          b.Batch.ids.(j) <- r.Recorder.instances.(off + j);
+          b.Batch.arrs.(j) <- Char.code (Bytes.get r.Recorder.arrivals (off + j))
+        done;
+        Batch.set_length b m;
+        match Session.push_batch sess b with
+        | Error _ -> None
+        | Ok () -> push (off + m)
+      end
+    in
+    push 0
+
+let prop_push_granularity_equals_run_many =
+  (* Lane state carries across every batch seam inside a session, so
+     pushing a recording at any granularity replays to the same bits as
+     [run_many], which copies it in fixed slices.  Adversarial
+     granularities: every instance a seam, primes that never align with
+     the replay's slice, one batch spanning past the end.  Every kernel
+     and the generic loop. *)
   QCheck.Test.make
-    ~name:"batched fan-out == serial (k-kernels + generic walkers x chunk)"
-    ~count:8
-    QCheck.(pair arb_workload (int_range 2 4))
-    (fun (w, jobs) ->
+    ~name:"push_batch at any granularity == run_many (kernels + generic)"
+    ~count:8 arb_workload
+    (fun w ->
        let _, recorded = record_spec w in
        let n = Recorder.num_instances recorded in
        let delays = [ 1; 3; 7; 20; 100; 5_000 ] in
        List.for_all
          (fun scheme ->
-            let serial = Replay.run_many scheme ~delays recorded in
-            let sharded ~chunk =
-              List.for_all2 outcome_equal serial
-                (Replay.run_many ~jobs ~chunk scheme ~delays recorded)
-            in
-            Pool.with_domain_limit 1 (fun () ->
-                sharded ~chunk:1 && sharded ~chunk:13)
-            && Pool.with_domain_limit 4 (fun () ->
-                sharded ~chunk:37 && sharded ~chunk:(n + 1)))
-         [
-           (module Net_k2 : Scheme.S);
-           (module Pp_k2);
-           (module Generic_twins.Net_generic);
-           (module Generic_twins.Pp_generic);
-           (module Generic_twins.Net_k2_generic);
-           (module Generic_twins.Pp_k2_generic);
-         ])
+            let reference = Replay.run_many scheme ~delays recorded in
+            List.for_all
+              (fun g ->
+                 match push_in_slices scheme ~delays recorded g with
+                 | None -> false
+                 | Some pushed -> List.for_all2 outcome_equal reference pushed)
+              [ 1; 13; 37; n + 1 ])
+         (paper_schemes
+          @ [
+            (module Net_k2 : Scheme.S);
+            (module Pp_k2);
+            (module Generic_twins.Net_generic);
+            (module Generic_twins.Pp_generic);
+            (module Generic_twins.Net_k2_generic);
+            (module Generic_twins.Pp_k2_generic);
+          ]))
 
 let prop_run_many_mapped_equals_serial =
   (* The zero-copy mapped driver against the materialized reference:
-     same outcomes and byte-identical event streams for every scheme, at
-     jobs=1 and under a forced multi-domain fan-out (where all lane
-     groups walk one shared batch).  Both sides run the same kernel, so
-     each kernel's mapped replay is also held to its generic twin's.
-     Frames of a few dozen instances declare paths across many frames,
-     so the sessions' per-path arrays grow mid-stream. *)
-  QCheck.Test.make
-    ~name:"run_many_mapped == run_many (+ events), serial and fanned out"
-    ~count:10
-    QCheck.(pair arb_workload (int_range 2 4))
-    (fun (((_, seed) as w), jobs) ->
+     same outcomes and byte-identical event streams for every scheme.
+     Both sides run the same kernel, so each kernel's mapped replay is
+     also held to its generic twin's.  Frames of a few dozen instances
+     declare paths across many frames, so the sessions' per-path arrays
+     grow mid-stream. *)
+  QCheck.Test.make ~name:"run_many_mapped == run_many (+ events)" ~count:10
+    arb_workload
+    (fun ((_, seed) as w) ->
        let _, recorded = record_spec w in
        let blob =
          Serialize.Stream.to_string ~chunk_instances:(8 + (seed mod 41))
@@ -622,8 +503,8 @@ let prop_run_many_mapped_equals_serial =
          | Error _ -> QCheck.assume_fail ()
        in
        let delays = [ 1; 3; 7; 20; 100; 5_000 ] in
-       let mapped_equals materialized ?jobs scheme =
-         match Replay.run_many_mapped ?jobs scheme ~delays (mapped ()) with
+       let mapped_equals materialized scheme =
+         match Replay.run_many_mapped scheme ~delays (mapped ()) with
          | Error _ -> false
          | Ok ms ->
            List.length ms = List.length delays
@@ -631,23 +512,19 @@ let prop_run_many_mapped_equals_serial =
        in
        List.for_all
          (fun scheme ->
-            let materialized = Replay.run_many scheme ~delays recorded in
-            mapped_equals materialized scheme
-            && Pool.with_domain_limit 4 (fun () ->
-                mapped_equals materialized ~jobs scheme))
-         seam_schemes
+            mapped_equals (Replay.run_many scheme ~delays recorded) scheme)
+         paper_schemes
        && List.for_all
          (fun (_, kernel, twin) ->
             let materialized = Replay.run_many kernel ~delays recorded in
             mapped_equals materialized kernel && mapped_equals materialized twin)
          Generic_twins.pairs
        &&
-       let mapped_bytes jobs =
+       let mapped_bytes =
          let buf = Buffer.create 4_096 in
          let ev = Replay.events ~window:97 (Hotpath_util.Events.of_buffer buf) in
          match
-           Replay.run_many_mapped ~events:ev ~jobs (module Net) ~delays
-             (mapped ())
+           Replay.run_many_mapped ~events:ev (module Net) ~delays (mapped ())
          with
          | Error _ -> None
          | Ok _ -> Some (Buffer.contents buf)
@@ -659,9 +536,7 @@ let prop_run_many_mapped_equals_serial =
          Buffer.contents buf
        in
        Recorder.num_instances recorded = 0
-       || String.length reference > 0
-          && mapped_bytes 1 = Some reference
-          && Pool.with_domain_limit 4 (fun () -> mapped_bytes jobs = Some reference))
+       || String.length reference > 0 && mapped_bytes = Some reference)
 
 (* ------------------------------------------------------------------ *)
 (* Closed-form vs operational rates (Section 3)                        *)
@@ -756,15 +631,11 @@ let suites =
         QCheck_alcotest.to_alcotest prop_replay_capture_monotone_in_delay;
         QCheck_alcotest.to_alcotest prop_run_many_equals_per_delay_runs;
         QCheck_alcotest.to_alcotest prop_functor_equals_packed;
-        QCheck_alcotest.to_alcotest prop_chunk_seam_equals_serial;
-        QCheck_alcotest.to_alcotest prop_multi_domain_shards_equal_serial;
-        QCheck_alcotest.to_alcotest prop_sharded_events_byte_identical;
         QCheck_alcotest.to_alcotest prop_run_many_single_pass;
         QCheck_alcotest.to_alcotest prop_stream_roundtrip;
         QCheck_alcotest.to_alcotest prop_run_stream_equals_run;
         QCheck_alcotest.to_alcotest prop_run_many_stream_equals_run_many;
-        QCheck_alcotest.to_alcotest prop_run_many_stream_jobs_equals_serial;
-        QCheck_alcotest.to_alcotest prop_batch_fanout_equals_serial;
+        QCheck_alcotest.to_alcotest prop_push_granularity_equals_run_many;
         QCheck_alcotest.to_alcotest prop_run_many_mapped_equals_serial;
         QCheck_alcotest.to_alcotest prop_rates_closed_form_exact_for_path_profile;
         QCheck_alcotest.to_alcotest prop_rates_closed_form_undershoots_for_net_once;

@@ -937,27 +937,20 @@ let test_run_many_mapped_matches_run_many () =
   List.iter
     (fun (name, scheme) ->
        let materialized = Replay.run_many scheme ~delays r in
-       let check_jobs jobs =
-         match
-           Replay.run_many_mapped ~jobs scheme ~delays
-             (mapped ~chunk_instances:61 ())
-         with
-         | Error e -> Alcotest.failf "%s: run_many_mapped failed: %s" name e
-         | Ok ms ->
-           Alcotest.(check int) "one outcome per delay" (List.length delays)
-             (List.length ms);
-           List.iter2
-             (fun a b ->
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s lane identical (jobs=%d)" name jobs)
-                  true
-                  (Test_properties.outcome_equal a b))
-             materialized ms
-       in
-       check_jobs 1;
-       (* Forced 4-domain budget: the shared-batch fan-out must run for
-          real even on a 1-core CI machine. *)
-       Hotpath_util.Pool.with_domain_limit 4 (fun () -> check_jobs 3))
+       match
+         Replay.run_many_mapped scheme ~delays (mapped ~chunk_instances:61 ())
+       with
+       | Error e -> Alcotest.failf "%s: run_many_mapped failed: %s" name e
+       | Ok ms ->
+         Alcotest.(check int) "one outcome per delay" (List.length delays)
+           (List.length ms);
+         List.iter2
+           (fun a b ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s lane identical" name)
+                true
+                (Test_properties.outcome_equal a b))
+           materialized ms)
     schemes
 
 let test_run_many_mapped_events_identical () =
@@ -1097,7 +1090,7 @@ let suites =
           test_mapped_truncation_fuzz;
         Alcotest.test_case "run_mapped = run (all schemes)" `Quick
           test_run_mapped_matches_run;
-        Alcotest.test_case "run_many_mapped = run_many (jobs 1/3)" `Quick
+        Alcotest.test_case "run_many_mapped = run_many" `Quick
           test_run_many_mapped_matches_run_many;
         Alcotest.test_case "event streams byte-identical across drivers" `Quick
           test_run_many_mapped_events_identical;

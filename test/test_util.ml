@@ -340,31 +340,25 @@ let test_pool_uncapped_honours_jobs () =
     (Pool.map ~cap:true ~jobs:64 (fun x -> x * x) [ 1; 2; 3 ])
 
 let test_pool_domain_limit () =
-  let before = Pool.effective_workers ~jobs:100 in
+  let before = Pool.default_jobs () in
   (* 1-core simulation: the oversubscription clamp becomes observable on
      any machine. *)
   Pool.with_domain_limit 1 (fun () ->
       Alcotest.(check int) "budget" 1 (Pool.default_jobs ());
-      Alcotest.(check int) "jobs=8 clamps to 1" 1 (Pool.effective_workers ~jobs:8);
       Alcotest.(check (list int)) "capped map degrades to inline"
         [ 1; 4; 9 ]
         (Pool.map ~jobs:8 (fun x -> x * x) [ 1; 2; 3 ]));
   (* The other direction: a raised budget forces real multi-domain
      fan-out on small CI hosts. *)
   Pool.with_domain_limit 4 (fun () ->
-      Alcotest.(check int) "raised budget" 4 (Pool.effective_workers ~jobs:8);
-      Alcotest.(check int) "still min with jobs" 2 (Pool.effective_workers ~jobs:2);
+      Alcotest.(check int) "raised budget" 4 (Pool.default_jobs ());
       Alcotest.(check (list int)) "multi-domain map"
         (List.init 20 (fun x -> x * x))
         (Pool.map ~jobs:4 (fun x -> x * x) (List.init 20 Fun.id)));
-  Alcotest.(check int) "restored on exit" before
-    (Pool.effective_workers ~jobs:100);
+  Alcotest.(check int) "restored on exit" before (Pool.default_jobs ());
   Alcotest.check_raises "limit 0"
     (Invalid_argument "Pool.with_domain_limit: limit must be >= 1")
-    (fun () -> Pool.with_domain_limit 0 (fun () -> ()));
-  Alcotest.check_raises "effective_workers jobs 0"
-    (Invalid_argument "Pool: jobs must be >= 1")
-    (fun () -> ignore (Pool.effective_workers ~jobs:0))
+    (fun () -> Pool.with_domain_limit 0 (fun () -> ()))
 
 (* ------------------------------------------------------------------ *)
 (* Bqueue                                                              *)
