@@ -443,48 +443,45 @@ let trace_arg =
 
 let stream_arg =
   let doc =
-    "Stream the trace (HOTPATH3 framed format): record flushes chunks as \
-     they are produced and replay pulls them one at a time, so memory \
-     stays constant in the trace length."
+    "Replay in one pass, pulling one frame at a time, so memory stays \
+     constant in the trace length.  The hot set cannot be known \
+     mid-stream, so window events carry no hits/noise fields."
   in
   Arg.(value & flag & info [ "stream" ] ~doc)
 
 let record_cmd =
-  let run scale bench trace stream events =
+  let run scale bench trace events =
     let b = Hotpath_workloads.Suite.find_exn bench in
-    with_events_sink events (fun sink ->
-      if stream then begin
-        let oc = open_out_bin trace in
-        let summary =
+    let written =
+      with_events_sink events (fun sink ->
+        match
+          let oc = open_out_bin trace in
           Fun.protect
-            ~finally:(fun () -> close_out oc)
+            ~finally:(fun () -> close_out_noerr oc)
             (fun () ->
-               Hotpath_workloads.Suite.record_stream ~scale ~events:sink b
-                 ~sink:(output_string oc))
-        in
-        Printf.printf "streamed %d instances (%d paths) of %s into %s\n"
-          summary.Hotpath_trace.Recorder.cs_instances
-          summary.Hotpath_trace.Recorder.cs_paths bench trace
-      end
-      else begin
-        let recorded = Hotpath_workloads.Suite.record ~scale b in
-        Hotpath_trace.Serialize.save recorded ~path:trace;
-        Hotpath_util.Events.record_done sink
-          ~instances:(Hotpath_trace.Recorder.num_instances recorded)
-          ~paths:(Hotpath_trace.Recorder.num_paths recorded)
-          ~bytes_out:
-            (Int64.to_int
-               (In_channel.with_open_bin trace In_channel.length));
-        Printf.printf "recorded %d instances (%d paths) of %s into %s\n"
-          (Hotpath_trace.Recorder.num_instances recorded)
-          (Hotpath_trace.Recorder.num_paths recorded)
-          bench trace
-      end)
+               let summary =
+                 Hotpath_workloads.Suite.record_stream ~scale ~events:sink b
+                   ~sink:(output_string oc)
+               in
+               close_out oc;
+               summary)
+        with
+        | summary -> Ok summary
+        | exception Sys_error e -> Error e)
+    in
+    match written with
+    | Error e ->
+      Printf.eprintf "cannot write %s: %s\n" trace e;
+      exit 1
+    | Ok summary ->
+      Printf.printf "recorded %d instances (%d paths) of %s into %s\n"
+        summary.Hotpath_trace.Recorder.cs_instances
+        summary.Hotpath_trace.Recorder.cs_paths bench trace
   in
   Cmd.v
-    (Cmd.info "record" ~doc:"Record a benchmark's trace into a file")
-    Term.(
-      const run $ scale_arg $ bench_arg $ trace_arg $ stream_arg $ events_arg)
+    (Cmd.info "record"
+       ~doc:"Record a benchmark's trace into a file, streaming it as it runs")
+    Term.(const run $ scale_arg $ bench_arg $ trace_arg $ events_arg)
 
 let replay_cmd =
   let run trace scheme delay stream events events_window =

@@ -14,6 +14,5 @@ let file path =
   match Serialize.load ~path with
   | Ok r -> recording r
   | Error e -> [ Diag.error ~code:"T200" ~loc:Diag.Program "%s" e ]
-  | exception Sys_error e -> [ Diag.error ~code:"T200" ~loc:Diag.Program "%s" e ]
 
 let program ?cap p = Hotpath_analysis.Lint.check_program ?cap p

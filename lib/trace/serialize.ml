@@ -3,14 +3,12 @@ module Vm = Hotpath_vm.Vm
 module Vec = Hotpath_util.Vec
 module Crc32 = Hotpath_util.Crc32
 
-(* HOTPATH2: the unbounded count fields (block weights, per-path
-   instruction counts) moved from 32 to 64 bits, and 32-bit writes became
-   range-checked instead of silently truncating.  HOTPATH3 (the [Stream]
-   module below) is the framed, CRC-protected chunk format. *)
-let magic = "HOTPATH2"
+(* The field codecs below are shared by every frame kind of [Stream].
+   Unbounded counts (block weights, per-path instruction counts) are 64
+   bits, and 32-bit writes are range-checked instead of truncating. *)
 
 (* ------------------------------------------------------------------ *)
-(* Writer                                                              *)
+(* Field encoders                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let add_u8 buf v = Buffer.add_uint8 buf v
@@ -90,23 +88,8 @@ let add_stats buf (s : Vm.run_stats) =
     [ s.Vm.blocks; s.Vm.branches; s.Vm.calls; s.Vm.returns; s.Vm.indirects;
       s.Vm.backward_transfers; s.Vm.max_stack ]
 
-let write (r : Recorder.t) buf =
-  Buffer.add_string buf magic;
-  add_program buf r.Recorder.program;
-  add_i32 buf (Path_table.size r.Recorder.table);
-  Path_table.iter (add_path buf) r.Recorder.table;
-  add_i64 buf (Array.length r.Recorder.instances);
-  Array.iter (add_i32 buf) r.Recorder.instances;
-  Buffer.add_bytes buf r.Recorder.arrivals;
-  add_stats buf r.Recorder.vm_stats
-
-let to_string r =
-  let buf = Buffer.create (1 lsl 16) in
-  write r buf;
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
-(* Reader                                                              *)
+(* Field decoders                                                      *)
 (* ------------------------------------------------------------------ *)
 
 exception Parse of string
@@ -254,43 +237,11 @@ let get_stats c =
   { Vm.reason; blocks; branches; calls; returns; indirects; backward_transfers;
     max_stack }
 
-let read s ~pos =
-  let c = { s; pos } in
-  try
-    need c (String.length magic);
-    let m = String.sub c.s c.pos (String.length magic) in
-    if m <> magic then raise (Parse (Printf.sprintf "bad magic %S" m));
-    c.pos <- c.pos + String.length magic;
-    let program = get_program c in
-    let n_blocks = Array.length program.Cfg.blocks in
-    let n_paths = get_i32 c in
-    if n_paths < 0 || n_paths > 100_000_000 || n_paths > remaining c / 30 then
-      fail "implausible path count %d" n_paths;
-    let table = Path_table.create () in
-    for id = 0 to n_paths - 1 do
-      get_path c table id ~n_blocks
-    done;
-    let n_instances = get_i64 c in
-    (* Each instance is 4 id bytes plus 1 arrival byte. *)
-    if n_instances < 0 || n_instances > remaining c / 5 then
-      fail "implausible instance count %d" n_instances;
-    let instances = Array.init n_instances (fun _ -> get_i32 c) in
-    need c n_instances;
-    let arrivals = Bytes.of_string (String.sub c.s c.pos n_instances) in
-    c.pos <- c.pos + n_instances;
-    let vm_stats = get_stats c in
-    (match Recorder.of_parts ~program ~table ~instances ~arrivals ~vm_stats with
-     | Ok r -> Ok (r, c.pos)
-     | Error e -> Error ("invalid recording: " ^ e))
-  with Parse msg -> Error msg
-
 (* ------------------------------------------------------------------ *)
 (* HOTPATH3: framed, CRC-protected streaming format                    *)
 (* ------------------------------------------------------------------ *)
 
 module Stream = struct
-  let legacy_magic = magic
-
   let magic = "HOTPATH3"
 
   let default_chunk_instances = Recorder.default_chunk_instances
@@ -662,8 +613,10 @@ module Stream = struct
         else begin
           let m = ba_sub_string rd.r_buf ~pos:rd.r_head ~len:mlen in
           if m <> magic then
-            if m = legacy_magic then
-              fail "HOTPATH2 blob, not a stream (use Serialize.of_string/load)"
+            if m = "HOTPATH2" then
+              fail
+                "HOTPATH2 trace: this format is no longer read; re-record it \
+                 with `hotpath record`"
             else fail "bad magic %S" m;
           rd.r_head <- rd.r_head + mlen;
           rd.r_magic <- true;
@@ -911,58 +864,9 @@ module Stream = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Whole-recording entry points (both formats)                         *)
+(* Whole-recording entry points                                        *)
 (* ------------------------------------------------------------------ *)
 
-let of_string s =
-  if String.length s >= String.length Stream.magic
-     && String.sub s 0 (String.length Stream.magic) = Stream.magic
-  then
-    match Stream.open_pull_string s with
-    | Error _ as e -> e
-    | Ok rd -> Stream.to_recorder rd
-  else
-    match read s ~pos:0 with
-    | Error _ as e -> e
-    | Ok (r, finish) ->
-      if finish <> String.length s then
-        Error (Printf.sprintf "trailing garbage after offset %d" finish)
-      else Ok r
+let of_string s = Result.bind (Stream.open_pull_string s) Stream.to_recorder
 
-let save r ~path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-       let buf = Buffer.create (1 lsl 16) in
-       write r buf;
-       Buffer.output_buffer oc buf)
-
-(* HOTPATH3 files are read frame-by-frame (peak memory O(frame), plus the
-   materialized result); HOTPATH2 blobs fall back to the whole-file
-   parser. *)
-let load ~path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    let sniff =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-           let n = in_channel_length ic in
-           if n >= String.length Stream.magic then begin
-             let m = really_input_string ic (String.length Stream.magic) in
-             if m = Stream.magic then `Stream
-             else begin
-               seek_in ic 0;
-               `Legacy (really_input_string ic n)
-             end
-           end
-           else `Legacy (really_input_string ic n))
-    in
-    (match sniff with
-     | `Stream -> (
-         match Stream.open_file ~path with
-         | Error _ as e -> e
-         | Ok rd -> Stream.to_recorder rd)
-     | `Legacy s -> of_string s)
+let load ~path = Result.bind (Stream.open_file ~path) Stream.to_recorder

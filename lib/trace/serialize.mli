@@ -4,62 +4,43 @@
     the result lets a trace be recorded once and replayed by any number of
     analysis processes — `hotpath record`/`--trace` style workflows.
 
-    Two on-disk formats coexist:
-
-    - {b HOTPATH2} — the legacy single-blob format: program (blocks,
-      terminators, procedures), interned path table, the instance and
-      arrival arrays, and the VM run statistics, parsed from one
-      contiguous string.
-    - {b HOTPATH3} — the {!Stream} format: the same field encodings, but
-      framed into length-prefixed, CRC-32-protected chunks (program
-      header, incremental path-table frames, instance/arrival chunks of
-      {!Stream.default_chunk_instances} instances, and an end frame with
-      the VM statistics and totals).  Both ends are constant-memory: the
-      writer flushes as it goes, and one frame parser reads the stream a
-      frame at a time, fed from a channel, a mapping, or pushed bytes,
-      so traces far larger than RAM can be recorded and replayed.
+    There is one on-disk format, HOTPATH3 ({!Stream}): the program
+    (blocks, terminators, procedures), the interned path table, the
+    instance and arrival arrays and the VM run statistics, framed into
+    length-prefixed, CRC-32-protected chunks (program header, incremental
+    path-table frames, instance/arrival chunks of
+    {!Stream.default_chunk_instances} instances, and an end frame with
+    the VM statistics and totals).  Both ends are constant-memory: the
+    writer flushes as it goes, and one frame parser reads the stream a
+    frame at a time, fed from a channel, a mapping, or pushed bytes, so
+    traces far larger than RAM can be recorded and replayed.  Files in
+    the retired single-blob format are refused with an error that says
+    to record them again; every trace is a deterministic function of
+    (benchmark, scale), so nothing is lost.
 
     All integers are little-endian.  Bounded ids and lengths are 32-bit
     and writing raises [Invalid_argument] if a value does not fit (no
     silent truncation); unbounded counts (block weights, per-path
     instruction counts, instance totals, VM statistics) are 64-bit.
-    Loading validates structure (via {!Recorder.of_parts} — which since
-    the lint hook also runs the full trace linter, [Hotpath_trace.Lint]
-    — or the stream parser's frame-by-frame checks) and fails with a
-    message rather than crashing on corrupt input — the serializer fuzz
-    suite holds both formats, and every HOTPATH3 feed, to that.  For
-    diagnostics instead of a bare error message, lint a file with
+    Loading validates structure (the stream parser's frame-by-frame
+    checks, then {!Recorder.of_parts}, which also runs the full trace
+    linter, [Hotpath_trace.Lint]) and fails with a message rather than
+    crashing on corrupt input — the fuzz suite holds every feed to that.
+    For diagnostics instead of a bare error message, lint a file with
     [Hotpath_trace.Check.file]. *)
 
 module Cfg = Hotpath_cfg.Cfg
 
-val magic : string
-(** The legacy single-blob magic, ["HOTPATH2"]. *)
-
-val write : Recorder.t -> Buffer.t -> unit
-(** Append the serialized recording (HOTPATH2).
-    @raise Invalid_argument if a 32-bit field (id, length) overflows. *)
-
-val read : string -> pos:int -> (Recorder.t * int, string) result
-(** [read s ~pos] parses a HOTPATH2 recording serialized at offset [pos]
-    of [s]; returns the recording and the offset just past it. *)
-
-val to_string : Recorder.t -> string
-(** HOTPATH2 blob. *)
-
 val of_string : string -> (Recorder.t, string) result
-(** Requires the whole string to be exactly one recording, in either
-    format (dispatched on the magic). *)
-
-val save : Recorder.t -> path:string -> unit
-(** Write an HOTPATH2 file.  @raise Sys_error on I/O failure.  Prefer
-    {!Stream.save} for new traces. *)
+(** Requires the whole string to be exactly one HOTPATH3 recording:
+    {!Stream.to_recorder} over a pull reader of [s]. *)
 
 val load : path:string -> (Recorder.t, string) result
-(** Read back from a file in either format; I/O errors are returned as
-    [Error].  HOTPATH3 files are read frame-by-frame — peak memory is
-    O(frame) beyond the materialized result — while HOTPATH2 falls back
-    to the whole-file parser. *)
+(** {!Stream.open_file} then {!Stream.to_recorder}: the file is read
+    frame by frame, so peak memory is O(frame) beyond the materialized
+    result, and any readable path works, pipes and FIFOs included.
+    Never raises: I/O errors (a missing file, a directory) come back as
+    [Error]. *)
 
 (** The HOTPATH3 framed stream format.
 

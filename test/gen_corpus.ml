@@ -6,8 +6,10 @@
    [valid_*] must parse to [Ok _] through both [Serialize.of_string] and
    [Serialize.load]; files named [corrupt_*] must return [Error _] —
    never raise, never hang.  The corpus pins corruptions that were once
-   mishandled (notably the 2^61 instance-count overflow that escaped
-   [of_string] as an uncaught [Invalid_argument]) so they stay fixed. *)
+   mishandled so they stay fixed.  Files named [legacy_*] hold retired
+   formats: every entry point must refuse them with the error that says
+   to record the trace again.  They are kept byte-for-byte as they were
+   written and are not regenerated here, since their writers are gone. *)
 
 module Recorder = Hotpath_trace.Recorder
 module Serialize = Hotpath_trace.Serialize
@@ -50,10 +52,8 @@ let () =
   Printf.printf "corpus recording: %d instances, %d paths\n" n
     (Recorder.num_paths r);
 
-  (* Valid members: both formats, plus the empty-trace boundary. *)
-  let h2 = Serialize.to_string r in
+  (* Valid members, plus the empty-trace boundary. *)
   let h3 = Serialize.Stream.to_string ~chunk_instances:256 r in
-  write_file "valid_hotpath2.trace" h2;
   write_file "valid_hotpath3.trace" h3;
   let empty = Buffer.create 256 in
   let b = Suite.find_exn "deltablue" in
@@ -62,18 +62,6 @@ let () =
     (Serialize.Stream.record ~max_paths:0 program behavior
        ~rng:(Prng.create ~seed:1) ~sink:(Buffer.add_string empty));
   write_file "valid_hotpath3_empty.trace" (Buffer.contents empty);
-
-  (* HOTPATH2 instance-count overflow: the 64-bit count field patched to
-     2^61.  The layout puts it at len - stats(57) - arrivals(n) - ids(4n)
-     - count(8). *)
-  let count_off = String.length h2 - 57 - (5 * n) - 8 in
-  write_file "corrupt_h2_instance_count_2pow61.trace"
-    (patch h2 ~pos:count_off (fun b pos ->
-         Bytes.set_int64_le b pos (Int64.shift_left 1L 61)));
-
-  (* HOTPATH2 truncation. *)
-  write_file "corrupt_h2_truncated.trace"
-    (String.sub h2 0 (String.length h2 / 2));
 
   (* HOTPATH3 corruptions. *)
   let fs = frames h3 in

@@ -9,9 +9,7 @@
    the same error message.  The contract is strict for HOTPATH3: the
    per-frame CRC makes *every* byte-level corruption of a valid stream
    detectable, so each mutated blob must come back [Error _] — never
-   [Ok], never an exception, never a hang.  HOTPATH2 has no checksum, so
-   its byte-flip cases only demand no-crash ([Ok] or [Error]), while
-   truncations and count-field corruptions are still strict.
+   [Ok], never an exception, never a hang.
 
    Test names that say "run_stream" mean streamed replay: a pull-fed
    reader through [Replay.run_mapped]. *)
@@ -132,26 +130,13 @@ let test_file_roundtrip_and_load_dispatch () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
        Stream.save ~chunk_instances:100 r ~path;
-       (* Serialize.load sniffs the magic and chunk-reads HOTPATH3. *)
+       (* Serialize.load is the pull feed drained into a recording. *)
        (match Serialize.load ~path with
         | Ok r' -> check_same_recording r r'
         | Error e -> Alcotest.failf "load of streamed file failed: %s" e);
        match Stream.open_file ~path with
        | Error e -> Alcotest.failf "open_file failed: %s" e
        | Ok rd -> check_same_recording r (drain rd))
-
-let test_legacy_file_still_loads () =
-  (* The HOTPATH2 fallback: files written by the legacy writer keep
-     loading through the same entry point. *)
-  let r = record_fixture () in
-  let path = Filename.temp_file "hotpath_legacy" ".trace" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-       Serialize.save r ~path;
-       match Serialize.load ~path with
-       | Ok r' -> check_same_recording r r'
-       | Error e -> Alcotest.failf "legacy load failed: %s" e)
 
 let test_reader_accessors () =
   let r = record_fixture () in
@@ -289,14 +274,10 @@ let test_run_stream_surfaces_decode_errors () =
 (* Pipes: the pull feed over a non-regular file                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_fifo_pull_replay () =
-  (* [replay --stream] reads anything it cannot map through the pull
-     feed.  A named pipe with a writer thread that trickles the stream
-     in spaced 997-byte pieces, against instance frames of 2.5 KB, makes
-     every frame span several short reads; the replay must still equal
-     the materialized one. *)
-  let r = Suite.record ~scale:0.02 (Suite.find_exn "compress") in
-  let blob = Stream.to_string ~chunk_instances:500 r in
+(* Run [read] on a fresh named pipe while a writer thread trickles
+   [blob] into it in spaced 997-byte pieces.  The mapped feed must
+   refuse the pipe first. *)
+let through_fifo blob read =
   let path = Filename.temp_file "hotpath_fifo" ".trace" in
   Sys.remove path;
   Unix.mkfifo path 0o600;
@@ -326,22 +307,38 @@ let test_fifo_pull_replay () =
                    with Unix.Unix_error (Unix.EPIPE, _, _) -> ()))
            ()
        in
-       let result =
-         match Stream.open_file ~path with
-         | Error e -> Error e
-         | Ok rd ->
-           let o = Replay.run_mapped (module Net) ~delay:7 rd in
-           Stream.close rd;
-           o
-       in
+       let result = read path in
        Thread.join writer;
-       match result with
-       | Error e -> Alcotest.failf "replay through a FIFO failed: %s" e
-       | Ok streamed ->
-         Alcotest.(check bool) "FIFO replay = run" true
-           (Test_properties.outcome_equal
-              (Replay.run (module Net) ~delay:7 r)
-              streamed))
+       result)
+
+let test_fifo_pull_replay () =
+  (* [replay --stream] reads anything it cannot map through the pull
+     feed, and [Serialize.load] always reads through it.  Against
+     instance frames of 2.5 KB, the writer's 997-byte pieces make every
+     frame span several short reads; the streamed replay must still
+     equal the materialized one, and [load] must return the
+     recording. *)
+  let r = Suite.record ~scale:0.02 (Suite.find_exn "compress") in
+  let blob = Stream.to_string ~chunk_instances:500 r in
+  let replayed =
+    through_fifo blob (fun path ->
+        match Stream.open_file ~path with
+        | Error e -> Error e
+        | Ok rd ->
+          let o = Replay.run_mapped (module Net) ~delay:7 rd in
+          Stream.close rd;
+          o)
+  in
+  (match replayed with
+   | Error e -> Alcotest.failf "replay through a FIFO failed: %s" e
+   | Ok streamed ->
+     Alcotest.(check bool) "FIFO replay = run" true
+       (Test_properties.outcome_equal
+          (Replay.run (module Net) ~delay:7 r)
+          streamed));
+  match through_fifo blob (fun path -> Serialize.load ~path) with
+  | Error e -> Alcotest.failf "load through a FIFO failed: %s" e
+  | Ok loaded -> check_same_recording r loaded
 
 (* ------------------------------------------------------------------ *)
 (* The feed table                                                      *)
@@ -538,52 +535,6 @@ let test_fuzz_h3_trailing_garbage () =
   expect_error "h3 trailing frame"
     (s ^ String.sub s (String.length Stream.magic) 32)
 
-let expect_h2_error name s =
-  match Serialize.of_string s with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.failf "%s: corrupt input accepted" name
-
-let test_fuzz_h2_bitflips_never_crash () =
-  (* No checksum in HOTPATH2: a flip may legitimately decode, but it
-     must never escape as an exception. *)
-  let r = record_fixture () in
-  let s = Serialize.to_string r in
-  let rng = Prng.create ~seed:0xBEE5 in
-  for _ = 1 to 300 do
-    let pos = Prng.int rng ~bound:(String.length s) in
-    let bit = Prng.int rng ~bound:8 in
-    match Serialize.of_string (flip_bit s ~pos ~bit) with
-    | Ok _ | Error _ -> ()
-  done
-
-let test_fuzz_h2_truncations () =
-  let r = record_fixture () in
-  let s = Serialize.to_string r in
-  let n = String.length s in
-  for i = 0 to 59 do
-    let keep = i * (n - 1) / 59 in
-    expect_h2_error
-      (Printf.sprintf "h2 truncated to %d" keep)
-      (String.sub s 0 keep)
-  done
-
-let test_fuzz_h2_count_fields () =
-  (* The count fields that once drove unchecked allocations (or, for the
-     64-bit instance count, an overflow that escaped as an uncaught
-     exception): extreme values must come back Error. *)
-  let r = record_fixture () in
-  let s = Serialize.to_string r in
-  let n = Recorder.num_instances r in
-  let count_off = String.length s - 57 - (5 * n) - 8 in
-  List.iter
-    (fun shift ->
-       let b = Bytes.of_string s in
-       Bytes.set_int64_le b count_off (Int64.shift_left 1L shift);
-       expect_h2_error
-         (Printf.sprintf "h2 instance count 2^%d" shift)
-         (Bytes.to_string b))
-    [ 20; 31; 61; 62; 63 ]
-
 (* ------------------------------------------------------------------ *)
 (* Regression corpus                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -599,7 +550,7 @@ let corpus_files () =
       |> List.filter (fun f -> Filename.check_suffix f ".trace")
       |> List.sort String.compare
     in
-    Alcotest.(check bool) "corpus populated" true (List.length files >= 10);
+    Alcotest.(check bool) "corpus populated" true (List.length files >= 9);
     files
 
 let read_file path =
@@ -609,9 +560,8 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let test_corpus () =
-  (* Every member through every feed (HOTPATH2 members fail the magic on
-     all of them), then the whole-recording entry points: [valid_*]
-     must load, [corrupt_*] must not. *)
+  (* Every member through every feed, then the whole-recording entry
+     points: [valid_*] must load, [corrupt_*] and [legacy_*] must not. *)
   List.iter
     (fun name ->
        let path = Filename.concat "fixtures" name in
@@ -711,16 +661,44 @@ let test_flood_then_truncation_rejected () =
   | Ok _ -> Alcotest.fail "truncated flood decoded to Ok"
 
 let test_corpus_valid_members_agree () =
-  (* The two valid encodings of the same recording must load to the same
-     recording. *)
+  (* The valid members load, and the writer re-encodes what was loaded
+     to the committed bytes: decode and encode agree on the corpus. *)
+  let path name = Filename.concat "fixtures" name in
   let load name =
-    match Serialize.load ~path:(Filename.concat "fixtures" name) with
+    match Serialize.load ~path:(path name) with
     | Ok r -> r
     | Error e -> Alcotest.failf "%s: %s" name e
   in
-  check_same_recording (load "valid_hotpath2.trace") (load "valid_hotpath3.trace");
+  Alcotest.(check string) "valid_hotpath3.trace re-encodes to its bytes"
+    (read_file (path "valid_hotpath3.trace"))
+    (Stream.to_string ~chunk_instances:256 (load "valid_hotpath3.trace"));
   let empty = load "valid_hotpath3_empty.trace" in
   Alcotest.(check int) "empty corpus member" 0 (Recorder.num_instances empty)
+
+let legacy_refusal =
+  "HOTPATH2 trace: this format is no longer read; re-record it with \
+   `hotpath record`"
+
+let test_legacy_file_refused () =
+  (* The retired single-blob format is refused with one error through
+     every entry point: the whole-recording loaders, and the pull,
+     mapped and push feeds. *)
+  let path = Filename.concat "fixtures" "legacy_hotpath2.trace" in
+  let contents = read_file path in
+  let refused what = function
+    | Error e -> Alcotest.(check string) what legacy_refusal e
+    | Ok _ -> Alcotest.failf "%s accepted a HOTPATH2 file" what
+  in
+  refused "load" (Serialize.load ~path);
+  refused "of_string" (Serialize.of_string contents);
+  refused "open_file" (Stream.open_file ~path);
+  refused "map_file" (Mapped.map_file ~path);
+  List.iter
+    (fun slice ->
+       refused
+         (Printf.sprintf "push/%d" slice)
+         (drain_pushed ~slice contents))
+    [ 1; 7; 4096 ]
 
 (* ------------------------------------------------------------------ *)
 (* Push feed                                                           *)
@@ -1023,8 +1001,8 @@ let suites =
           test_record_chunked_invariant_under_chunk_size;
         Alcotest.test_case "file roundtrip + load dispatch" `Quick
           test_file_roundtrip_and_load_dispatch;
-        Alcotest.test_case "legacy HOTPATH2 file still loads" `Quick
-          test_legacy_file_still_loads;
+        Alcotest.test_case "HOTPATH2 file refused with a typed error" `Quick
+          test_legacy_file_refused;
         Alcotest.test_case "reader accessors" `Quick test_reader_accessors;
         Alcotest.test_case "run_stream = run (all schemes)" `Quick
           test_run_stream_matches_run;
@@ -1049,12 +1027,6 @@ let suites =
           test_fuzz_h3_length_fields;
         Alcotest.test_case "h3 trailing garbage rejected" `Quick
           test_fuzz_h3_trailing_garbage;
-        Alcotest.test_case "300 h2 bitflips never crash" `Quick
-          test_fuzz_h2_bitflips_never_crash;
-        Alcotest.test_case "60 h2 truncations all rejected" `Quick
-          test_fuzz_h2_truncations;
-        Alcotest.test_case "h2 count-field corruption rejected" `Quick
-          test_fuzz_h2_count_fields;
         Alcotest.test_case "2M empty-paths-frame flood decodes" `Quick
           test_empty_paths_frame_flood;
         Alcotest.test_case "frame flood + torn frame rejected" `Quick
