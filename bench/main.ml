@@ -5,6 +5,7 @@
      dune exec bench/main.exe -- quick     # microbenchmarks only
      dune exec bench/main.exe -- tables    # reproductions only
      dune exec bench/main.exe -- events    # event-stream overhead proof
+     dune exec bench/main.exe -- record [--smoke]  # recording rate and words/instance
 
    Reproduction output mirrors `hotpath table1|table2|fig2|fig3|fig4|fig5`
    and is recorded in EXPERIMENTS.md. *)
@@ -937,6 +938,90 @@ let serve_bench ~smoke ~scale =
       if not pass then exit 1
     end
 
+(* ------------------------------------------------------------------ *)
+(* Recording: instances/s and minor words per instance for each of the  *)
+(* nine benchmarks (BENCH_record.json)                                  *)
+(* ------------------------------------------------------------------ *)
+
+let bench_record_file = "BENCH_record.json"
+
+(* Allocation ceiling for the smoke gate, in minor words per instance
+   over all nine recordings.  The count is a pure function of the code
+   and the seeds, so the gate is absolute: no timing ratio, no noise
+   margin.  It is not per benchmark: every new path is copied out of
+   the segmenter once (its Path.t, signature and block array), and gcc
+   mints one new path per 3.5 instances. *)
+let record_words_ceiling = 8.0
+
+let bench_record_line ~name ~scale ~instances ~paths ~wall_s ~words =
+  let buf = Buffer.create 256 in
+  Events.emit (Events.of_buffer buf) ~kind:"bench_record"
+    [
+      ("bench", Events.Str name);
+      ("scale", Events.Float scale);
+      ("instances", Events.Int instances);
+      ("paths", Events.Int paths);
+      ("wall_s", Events.Float wall_s);
+      ("instances_per_s", Events.Float (float_of_int instances /. wall_s));
+      ("minor_words_per_inst", Events.Float (words /. float_of_int instances));
+    ];
+  Buffer.contents buf
+
+(* [Suite.record] exactly as e2ebench's [workloads.record] span times
+   it: program generation included.  Wall time is the best of [reps]
+   runs; the minor-word count is the same on every run. *)
+let record_bench ~smoke ~scale =
+  heading
+    (Printf.sprintf "Recording — nine benchmarks at scale %g%s" scale
+       (if smoke then " (smoke)" else ""));
+  let reps = if smoke then 1 else 3 in
+  let rows =
+    List.map
+      (fun (b : Suite.benchmark) ->
+         let measure () =
+           Gc.full_major ();
+           let w0 = Gc.minor_words () in
+           let t0 = Unix.gettimeofday () in
+           let r = Suite.record ~scale b in
+           let wall = Unix.gettimeofday () -. t0 in
+           (r, wall, Gc.minor_words () -. w0)
+         in
+         let r, wall, words = measure () in
+         let wall = ref wall in
+         for _ = 2 to reps do
+           let _, w, _ = measure () in
+           wall := Float.min !wall w
+         done;
+         let n = Recorder.num_instances r in
+         Format.printf "  %-10s %8d instances %6d paths  %.3e inst/s  %6.2f words/inst@."
+           b.Suite.b_name n (Recorder.num_paths r)
+           (float_of_int n /. !wall) (words /. float_of_int n);
+         (b.Suite.b_name, n, Recorder.num_paths r, !wall, words))
+      Suite.all
+  in
+  let sum f = List.fold_left (fun acc row -> acc +. f row) 0.0 rows in
+  let instances = int_of_float (sum (fun (_, n, _, _, _) -> float_of_int n)) in
+  let paths = int_of_float (sum (fun (_, _, p, _, _) -> float_of_int p)) in
+  let wall = sum (fun (_, _, _, w, _) -> w) and words = sum (fun (_, _, _, _, w) -> w) in
+  Format.printf "  %-10s %8d instances %6d paths  %.3e inst/s  %6.2f words/inst@." "all"
+    instances paths (float_of_int instances /. wall) (words /. float_of_int instances);
+  if smoke then begin
+    let per_inst = words /. float_of_int instances in
+    let ok = per_inst <= record_words_ceiling in
+    Format.printf "  smoke gate (all nine <= %.0f minor words/inst): %.2f %s@."
+      record_words_ceiling per_inst (if ok then "PASS" else "FAIL");
+    if not ok then exit 1
+  end
+  else begin
+    let oc = open_out bench_record_file in
+    List.iter
+      (fun (name, n, p, wall_s, words) ->
+         output_string oc (bench_record_line ~name ~scale ~instances:n ~paths:p ~wall_s ~words))
+      (rows @ [ ("all", instances, paths, wall, words) ]);
+    close_out oc;
+    Format.printf "  wrote %s@." bench_record_file
+  end
+
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   (* Microbenchmarks run first: the reproductions cache hundreds of MB of
@@ -995,5 +1080,17 @@ let () =
       else 8.0
     in
     streaming_demo ~smoke ~scale
+  end;
+  if mode = "record" then begin
+    (* Recording priced per benchmark, at full scale either way (about
+       a second of recording).  Full mode times the best of three runs
+       and (re)writes the BENCH_record.json baseline; --smoke runs once
+       and is the CI allocation gate. *)
+    let smoke = Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke" in
+    let scale =
+      if (not smoke) && Array.length Sys.argv > 2 then float_of_string Sys.argv.(2)
+      else 1.0
+    in
+    record_bench ~smoke ~scale
   end;
   if mode = "all" || mode = "tables" then reproductions ()

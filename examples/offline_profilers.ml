@@ -28,9 +28,9 @@ let () =
   let bl_rt = Ball_larus.Runtime.create program in
   let ys = Young_smith.create ~k:3 in
   let _ =
-    Vm.run ~max_steps:60_000 vm ~on_transfer:(fun tr ->
-        Ball_larus.Runtime.on_transfer bl_rt tr;
-        Young_smith.on_transfer ys tr)
+    Vm.run ~max_steps:60_000 vm ~on_transfer:(fun vm ->
+        Ball_larus.Runtime.on_transfer bl_rt vm;
+        Young_smith.on_transfer ys vm)
   in
   Format.printf "@.=== Ball-Larus runtime (same run) ===@.";
   List.iteri

@@ -27,8 +27,10 @@ let proc p i =
 
 let entry_block p = (proc p p.main).entry
 
-let addr _p i = i
+let addr (_ : program) (i : block_id) : int = i
 
+(* Typed addresses keep this an integer comparison, not a polymorphic
+   compare: the VM calls it on every transfer. *)
 let is_backward p ~src ~dst = addr p dst <= addr p src
 
 let successors p i =
@@ -122,30 +124,32 @@ let validate p =
                   p.blocks.(b).proc)
            pr.blocks)
       p.procs;
-    Array.iteri
-      (fun i b ->
-         if b.id <> i then fail "block %d has id %d" i b.id;
-         if not (ok_proc b.proc) then fail "block %d: proc %d out of range" i b.proc;
-         if b.weight <= 0 then fail "block %d: non-positive weight %d" i b.weight;
-         let check_local what t =
-           if not (ok_block t) then fail "block %d: %s target %d out of range" i what t;
-           if p.blocks.(t).proc <> b.proc then
-             fail "block %d: %s target %d crosses into procedure %d" i what t
-               p.blocks.(t).proc
-         in
-         match b.term with
-         | Branch { taken; fallthrough } ->
-           check_local "taken" taken;
-           check_local "fallthrough" fallthrough
-         | Jump t -> check_local "jump" t
-         | Indirect targets ->
-           if Array.length targets = 0 then fail "block %d: indirect with no targets" i;
-           Array.iter (check_local "indirect") targets
-         | Call { callee; return_to } ->
-           if not (ok_proc callee) then fail "block %d: callee %d out of range" i callee;
-           check_local "return_to" return_to
-         | Return | Exit -> ())
-      p.blocks;
+    (* A named local function, not a closure per block: validating a
+       program allocates nothing unless it fails. *)
+    let check_local i b what t =
+      if not (ok_block t) then fail "block %d: %s target %d out of range" i what t;
+      if p.blocks.(t).proc <> b.proc then
+        fail "block %d: %s target %d crosses into procedure %d" i what t
+          p.blocks.(t).proc
+    in
+    for i = 0 to nblocks - 1 do
+      let b = p.blocks.(i) in
+      if b.id <> i then fail "block %d has id %d" i b.id;
+      if not (ok_proc b.proc) then fail "block %d: proc %d out of range" i b.proc;
+      if b.weight <= 0 then fail "block %d: non-positive weight %d" i b.weight;
+      match b.term with
+      | Branch { taken; fallthrough } ->
+        check_local i b "taken" taken;
+        check_local i b "fallthrough" fallthrough
+      | Jump t -> check_local i b "jump" t
+      | Indirect targets ->
+        if Array.length targets = 0 then fail "block %d: indirect with no targets" i;
+        Array.iter (check_local i b "indirect") targets
+      | Call { callee; return_to } ->
+        if not (ok_proc callee) then fail "block %d: callee %d out of range" i callee;
+        check_local i b "return_to" return_to
+      | Return | Exit -> ()
+    done;
     Ok ()
   with Bad msg -> err "%s" msg
 

@@ -5,35 +5,19 @@ module Path_table = Hotpath_trace.Path_table
 
 type outcome = { o_result : Engine.result; o_instances : int; o_paths : int }
 
-let run ?(max_steps = max_int) ?(max_paths = max_int) ?max_stack ~config program
-    behavior ~rng =
+let run ?max_steps ?max_paths ?max_stack ~config program behavior ~rng =
   let vm = Vm.create ?max_stack program behavior ~rng in
-  let seg = Segmenter.create program in
   let table = Path_table.create () in
   let stepper =
     Engine.Stepper.create config ~program ~lookup:(Path_table.path table)
   in
   let instances = ref 0 in
-  let rec loop () =
-    if !instances >= max_paths || Vm.blocks_executed vm >= max_steps then ()
-    else
-      match Vm.step vm with
-      | None -> ()
-      | Some tr ->
-        (match Segmenter.feed seg tr with
-         | Some c ->
-           let id =
-             Path_table.intern table c.Segmenter.c_signature
-               ~blocks:c.Segmenter.c_blocks ~n_instrs:c.Segmenter.c_n_instrs
-               ~n_branches:c.Segmenter.c_n_branches ~end_kind:c.Segmenter.c_end_kind
-           in
+  ignore
+    (Segmenter.run ?max_steps ?max_paths (Segmenter.create program table) vm
+       ~on_path:(fun id arrival ->
            incr instances;
-           Engine.Stepper.step stepper ~path:(Path_table.path table id)
-             ~arrival:c.Segmenter.c_arrival
-         | None -> ());
-        if tr.Vm.kind = Vm.T_exit then () else loop ()
-  in
-  loop ();
+           Engine.Stepper.step stepper ~path:(Path_table.path table id) ~arrival)
+     : [ `Exited | `Fuel ]);
   {
     o_result = Engine.Stepper.finalize stepper;
     o_instances = !instances;

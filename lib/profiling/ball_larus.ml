@@ -538,43 +538,38 @@ module Runtime = struct
       frame.f_r <- frame.f_r + inc
     end
 
-  let on_transfer rt (tr : Vm.transfer) =
+  let on_transfer rt vm =
     (* Lazily start the main frame on the first transfer. *)
     if Vec.is_empty rt.rt_stack then
       start_frame rt rt.rt_program.Cfg.main ~caller_src:None;
     match top rt with
     | None -> ()
     | Some frame -> begin
-        match tr.Vm.kind, tr.Vm.dst with
-        | Vm.T_branch { taken }, Some dst ->
-          intra_edge rt frame tr.Vm.src dst ~tag:(Bool.to_int taken)
-        | (Vm.T_jump | Vm.T_indirect), Some dst ->
-          intra_edge rt frame tr.Vm.src dst ~tag:0
-        | Vm.T_call, Some dst ->
+        let c = Vm.cursor vm in
+        let src = c.Vm.src and dst = c.Vm.dst in
+        match c.Vm.kind with
+        | Vm.T_branch -> intra_edge rt frame src dst ~tag:(Bool.to_int c.Vm.taken)
+        | Vm.T_jump | Vm.T_indirect -> intra_edge rt frame src dst ~tag:0
+        | Vm.T_call ->
           let callee = (Cfg.block rt.rt_program dst).Cfg.proc in
-          start_frame rt callee ~caller_src:(Some tr.Vm.src)
-        | Vm.T_return, Some dst ->
+          start_frame rt callee ~caller_src:(Some src)
+        | Vm.T_return ->
           (* End the callee's path at its return edge, pop, then traverse
              the caller's call-site -> return-to edge. *)
           let inc =
-            charge rt
-              (Hashtbl.find rt.rt_real.(frame.f_proc) (tr.Vm.src, exit_key, 0))
+            charge rt (Hashtbl.find rt.rt_real.(frame.f_proc) (src, exit_key, 0))
           in
           count rt frame.f_proc (frame.f_r + inc);
           let finished = Vec.pop rt.rt_stack in
           (match top rt, finished.f_caller_src with
            | Some caller, Some call_src -> intra_edge rt caller call_src dst ~tag:0
            | _ -> ())
-        | Vm.T_exit, None ->
+        | Vm.T_exit ->
           let inc =
-            charge rt
-              (Hashtbl.find rt.rt_real.(frame.f_proc) (tr.Vm.src, exit_key, 0))
+            charge rt (Hashtbl.find rt.rt_real.(frame.f_proc) (src, exit_key, 0))
           in
           count rt frame.f_proc (frame.f_r + inc);
           ignore (Vec.pop rt.rt_stack)
-        | (Vm.T_branch _ | Vm.T_jump | Vm.T_indirect | Vm.T_call | Vm.T_return), None
-        | Vm.T_exit, Some _ ->
-          assert false
       end
 
   let counts rt proc =

@@ -108,8 +108,9 @@ module Runtime : sig
 
   val analysis : t -> Cfg.proc_id -> analysis
 
-  val on_transfer : t -> Hotpath_vm.Vm.transfer -> unit
-  (** Feed one VM transfer (in execution order). *)
+  val on_transfer : t -> Hotpath_vm.Vm.t -> unit
+  (** Feed the transfer in the VM's cursor (transfers in execution
+      order). *)
 
   val counts : t -> Cfg.proc_id -> (int * int) list
   (** [(path_number, count)] pairs for the procedure, descending count. *)

@@ -28,10 +28,11 @@ let current_window t =
   (* Oldest-first snapshot of the ring. *)
   { w_branches = Array.init t.size (fun i -> t.fifo.((t.next + i) mod t.size)) }
 
-let on_transfer t (tr : Vm.transfer) =
-  match tr.Vm.kind with
-  | Vm.T_branch { taken } ->
-    t.fifo.(t.next) <- (tr.Vm.src, taken);
+let on_transfer t vm =
+  let c = Vm.cursor vm in
+  match c.Vm.kind with
+  | Vm.T_branch ->
+    t.fifo.(t.next) <- (c.Vm.src, c.Vm.taken);
     t.next <- (t.next + 1) mod t.size;
     t.seen <- t.seen + 1;
     if t.seen >= t.size then begin

@@ -27,7 +27,7 @@ val create : k:int -> t
 
 val k : t -> int
 
-val on_transfer : t -> Hotpath_vm.Vm.transfer -> unit
+val on_transfer : t -> Hotpath_vm.Vm.t -> unit
 (** Feed one VM transfer; only conditional branches affect the FIFO. *)
 
 val branches_seen : t -> int

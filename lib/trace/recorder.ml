@@ -1,7 +1,6 @@
 module Cfg = Hotpath_cfg.Cfg
 module Vm = Hotpath_vm.Vm
 module Behavior = Hotpath_vm.Behavior
-module Vec = Hotpath_util.Vec
 
 type t = {
   program : Cfg.program;
@@ -30,102 +29,77 @@ type chunked_summary = {
 
 let default_chunk_instances = 65_536
 
-let record_chunked ?(max_steps = max_int) ?(max_paths = max_int) ?max_stack
+(* Instance ids and arrival codes in two arrays that double as they
+   fill, up to [cap] entries. *)
+type buffer = { mutable b_ids : int array; mutable b_arrivals : Bytes.t; mutable b_len : int }
+
+let buffer ~cap =
+  { b_ids = Array.make (min cap 4096) 0; b_arrivals = Bytes.create (min cap 4096); b_len = 0 }
+
+let push buf ~cap id arrival =
+  let n = buf.b_len in
+  if n = Array.length buf.b_ids then begin
+    let size = min cap (2 * n) in
+    let ids = Array.make size 0 in
+    Array.blit buf.b_ids 0 ids 0 n;
+    buf.b_ids <- ids;
+    buf.b_arrivals <- Bytes.extend buf.b_arrivals 0 (size - n)
+  end;
+  Array.unsafe_set buf.b_ids n id;
+  Bytes.unsafe_set buf.b_arrivals n (arrival_code arrival);
+  buf.b_len <- n + 1
+
+let drive ?max_steps ?max_paths ?max_stack program behavior ~rng ~table ~on_path =
+  let vm = Vm.create ?max_stack program behavior ~rng in
+  let reason =
+    Segmenter.run ?max_steps ?max_paths (Segmenter.create program table) vm ~on_path
+  in
+  Vm.stats vm ~reason
+
+let record_chunked ?max_steps ?max_paths ?max_stack
     ?(chunk_instances = default_chunk_instances) program behavior ~rng ~flush
     ~finish =
   if chunk_instances < 1 then
     invalid_arg "Recorder.record_chunked: chunk_instances must be >= 1";
-  let vm = Vm.create ?max_stack program behavior ~rng in
-  let seg = Segmenter.create program in
   let table = Path_table.create () in
-  let chunk_ids = Vec.create ~capacity:(min chunk_instances 65_536) () in
-  let chunk_arrivals = Buffer.create (min chunk_instances 65_536) in
+  let chunk = buffer ~cap:chunk_instances in
   let total = ref 0 in
   let flush_chunk () =
-    if not (Vec.is_empty chunk_ids) then begin
-      flush ~table ~ids:(Vec.to_array chunk_ids)
-        ~arrivals:(Buffer.to_bytes chunk_arrivals);
-      Vec.clear chunk_ids;
-      Buffer.clear chunk_arrivals
+    if chunk.b_len > 0 then begin
+      flush ~table ~ids:chunk.b_ids ~arrivals:chunk.b_arrivals ~len:chunk.b_len;
+      chunk.b_len <- 0
     end
   in
-  let branches = ref 0
-  and calls = ref 0
-  and returns = ref 0
-  and indirects = ref 0
-  and backward = ref 0
-  and max_stack_seen = ref 0 in
-  let rec loop () =
-    if !total >= max_paths then `Max_paths
-    else if Vm.blocks_executed vm >= max_steps then `Fuel
-    else
-      match Vm.step vm with
-      | None -> `Exited
-      | Some tr ->
-        (match tr.Vm.kind with
-         | Vm.T_branch _ -> incr branches
-         | Vm.T_call -> incr calls
-         | Vm.T_return -> incr returns
-         | Vm.T_indirect -> incr indirects
-         | Vm.T_jump | Vm.T_exit -> ());
-        if tr.Vm.backward then incr backward;
-        max_stack_seen := max !max_stack_seen (Vm.stack_depth vm);
-        (match Segmenter.feed seg tr with
-         | Some c ->
-           let id =
-             Path_table.intern table c.Segmenter.c_signature
-               ~blocks:c.Segmenter.c_blocks ~n_instrs:c.Segmenter.c_n_instrs
-               ~n_branches:c.Segmenter.c_n_branches ~end_kind:c.Segmenter.c_end_kind
-           in
-           Vec.push chunk_ids id;
-           Buffer.add_char chunk_arrivals (arrival_code c.Segmenter.c_arrival);
-           incr total;
-           if Vec.length chunk_ids >= chunk_instances then flush_chunk ()
-         | None -> ());
-        if tr.Vm.kind = Vm.T_exit then `Exited else loop ()
+  let vm_stats =
+    drive ?max_steps ?max_paths ?max_stack program behavior ~rng ~table
+      ~on_path:(fun id arrival ->
+          push chunk ~cap:chunk_instances id arrival;
+          incr total;
+          if chunk.b_len = chunk_instances then flush_chunk ())
   in
-  let reason = loop () in
   (* A path cut off by fuel (or by [max_paths]) is discarded: a truncated
      prefix is not a completed path, and because non-branch transfers add
      no signature bits it could collide with a genuine path that continues
      through a jump chain.  Paths ended by program exit were yielded by the
      segmenter inside the loop. *)
-  let vm_stats =
-    {
-      Vm.reason = (match reason with `Exited -> `Exited | `Fuel | `Max_paths -> `Fuel);
-      blocks = Vm.blocks_executed vm;
-      branches = !branches;
-      calls = !calls;
-      returns = !returns;
-      indirects = !indirects;
-      backward_transfers = !backward;
-      max_stack = !max_stack_seen;
-    }
-  in
   flush_chunk ();
   finish ~table ~vm_stats;
   { cs_instances = !total; cs_paths = Path_table.size table; cs_vm_stats = vm_stats }
 
 let record ?max_steps ?max_paths ?max_stack program behavior ~rng =
-  let instances = Vec.create () in
-  let arrivals = Buffer.create 4096 in
-  let result = ref None in
-  ignore
-    (record_chunked ?max_steps ?max_paths ?max_stack program behavior ~rng
-       ~flush:(fun ~table:_ ~ids ~arrivals:arr ->
-           Array.iter (Vec.push instances) ids;
-           Buffer.add_bytes arrivals arr)
-       ~finish:(fun ~table ~vm_stats -> result := Some (table, vm_stats)));
-  match !result with
-  | None -> assert false
-  | Some (table, vm_stats) ->
-    {
-      program;
-      table;
-      instances = Vec.to_array instances;
-      arrivals = Buffer.to_bytes arrivals;
-      vm_stats;
-    }
+  let table = Path_table.create () in
+  let all = buffer ~cap:max_int in
+  let vm_stats =
+    drive ?max_steps ?max_paths ?max_stack program behavior ~rng ~table
+      ~on_path:(push all ~cap:max_int)
+  in
+  {
+    program;
+    table;
+    instances = Array.sub all.b_ids 0 all.b_len;
+    arrivals = Bytes.sub all.b_arrivals 0 all.b_len;
+    vm_stats;
+  }
 
 let of_parts ~program ~table ~instances ~arrivals ~vm_stats =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in

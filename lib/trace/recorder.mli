@@ -55,16 +55,18 @@ val record_chunked :
   Cfg.program ->
   Hotpath_vm.Behavior.t ->
   rng:Hotpath_util.Prng.t ->
-  flush:(table:Path_table.t -> ids:int array -> arrivals:Bytes.t -> unit) ->
+  flush:(table:Path_table.t -> ids:int array -> arrivals:Bytes.t -> len:int -> unit) ->
   finish:(table:Path_table.t -> vm_stats:Hotpath_vm.Vm.run_stats -> unit) ->
   chunked_summary
 (** Incremental-flush recording: interpret the program exactly as
     {!record} does, but hand completed instances to [flush] in chunks of
     [chunk_instances] instead of materializing the whole stream.  [flush]
-    receives the (shared, still-growing) path table plus the chunk's
-    instance ids and arrival codes — each id references a path already in
-    the table at flush time.  [flush] is called only with non-empty
-    chunks, in trace order; [finish] is called exactly once, after the
+    receives the (shared, still-growing) path table plus the chunk: its
+    [len] instance ids and arrival codes, the first [len] entries of
+    [ids] and [arrivals] — each id references a path already in the
+    table at flush time.  The two buffers are reused for the next chunk,
+    so [flush] must copy what it keeps.  [flush] is called only with
+    non-empty chunks, in trace order; [finish] is called exactly once, after the
     final flush, with the complete table and the VM statistics (also for
     an empty trace).  Peak memory is O(paths + chunk), not O(trace):
     together with {!Serialize.Stream} this is what lets paper-scale runs

@@ -1,109 +1,139 @@
 module Cfg = Hotpath_cfg.Cfg
 module Vm = Hotpath_vm.Vm
 
-type completed = {
-  c_signature : Signature.t;
-  c_blocks : Cfg.block_id array;
-  c_n_instrs : int;
-  c_n_branches : int;
-  c_end_kind : Path.end_kind;
-  c_arrival : Path.head_kind;
-}
-
 type t = {
-  program : Cfg.program;
+  table : Path_table.t;
+  weights : int array;  (* per block *)
   signature : Signature.Builder.t;
-  mutable blocks : Cfg.block_id list;  (* reversed *)
+  mutable blocks : Cfg.block_id array;  (* [0, n_blocks) is the partial path *)
   mutable n_blocks : int;
   mutable n_instrs : int;
   mutable calls_on_path : int;
-  mutable arrival : Path.head_kind;
+  mutable arrival : Path.head_kind;  (* of the partial path *)
+  mutable completed_arrival : Path.head_kind;
   mutable exited : bool;
 }
 
-let weight t b = (Cfg.block t.program b).Cfg.weight
-
-let create program =
+let create program table =
   let entry = Cfg.entry_block program in
+  let weights = Array.map (fun (b : Cfg.block) -> b.Cfg.weight) program.Cfg.blocks in
+  let blocks = Array.make 64 0 in
+  blocks.(0) <- entry;
   {
-    program;
+    table;
+    weights;
     signature = Signature.Builder.create ~head:entry;
-    blocks = [ entry ];
+    blocks;
     n_blocks = 1;
-    n_instrs = (Cfg.block program entry).Cfg.weight;
+    n_instrs = weights.(entry);
     calls_on_path = 0;
     arrival = Path.Entry;
+    completed_arrival = Path.Entry;
     exited = false;
   }
 
-let finish t end_kind =
-  {
-    c_signature = Signature.Builder.freeze t.signature;
-    c_blocks = Array.of_list (List.rev t.blocks);
-    c_n_instrs = t.n_instrs;
-    c_n_branches = Signature.Builder.branch_count t.signature;
-    c_end_kind = end_kind;
-    c_arrival = t.arrival;
-  }
-
-let start t head arrival =
-  Signature.Builder.reset t.signature ~head;
-  t.blocks <- [ head ];
-  t.n_blocks <- 1;
-  t.n_instrs <- weight t head;
-  t.calls_on_path <- 0;
-  t.arrival <- arrival
-
-let feed t (tr : Vm.transfer) =
-  if t.exited then invalid_arg "Segmenter.feed: program already exited";
-  (* Signature contributions. *)
-  (match tr.Vm.kind with
-   | Vm.T_branch { taken } -> Signature.Builder.add_branch t.signature ~taken
-   | Vm.T_indirect -> begin
-       match tr.Vm.dst with
-       | Some target -> Signature.Builder.add_indirect t.signature ~target
-       | None -> assert false
-     end
-   | Vm.T_call -> t.calls_on_path <- t.calls_on_path + 1
-   | Vm.T_return | Vm.T_jump | Vm.T_exit -> ());
-  let matched_return =
-    match tr.Vm.kind with
-    | Vm.T_return when t.calls_on_path > 0 ->
-      t.calls_on_path <- t.calls_on_path - 1;
-      true
-    | _ -> false
-  in
-  let ended =
-    match tr.Vm.kind with
-    | Vm.T_exit -> Some Path.Program_end
-    | _ when tr.Vm.backward -> Some Path.Backward_transfer
-    | _ when matched_return -> Some Path.Matched_return
-    | Vm.T_branch _
-      when Signature.Builder.branch_count t.signature = Signature.max_branches ->
-      Some Path.Cap
-    | _ -> None
-  in
-  (* A crossed (forward, unmatched) return is an indirect branch: its
-     dynamic target disambiguates paths from shared callees. *)
-  (match tr.Vm.kind, ended, tr.Vm.dst with
-   | Vm.T_return, None, Some target -> Signature.Builder.add_indirect t.signature ~target
-   | _ -> ());
-  match ended, tr.Vm.dst with
-  | Some end_kind, Some dst ->
-    let c = finish t end_kind in
-    start t dst (if tr.Vm.backward then Path.Loop_head else Path.Continuation);
-    Some c
-  | Some end_kind, None ->
-    let c = finish t end_kind in
-    t.exited <- true;
-    t.blocks <- [];
-    t.n_blocks <- 0;
-    Some c
-  | None, Some dst ->
-    t.blocks <- dst :: t.blocks;
-    t.n_blocks <- t.n_blocks + 1;
-    t.n_instrs <- t.n_instrs + weight t dst;
-    None
-  | None, None -> assert false
+let arrival t = t.completed_arrival
 
 let in_flight_blocks t = t.n_blocks
+
+let grow_blocks t =
+  let grown = Array.make (2 * t.n_blocks) 0 in
+  Array.blit t.blocks 0 grown 0 t.n_blocks;
+  t.blocks <- grown
+
+let[@inline] append t b =
+  if t.n_blocks = Array.length t.blocks then grow_blocks t;
+  Array.unsafe_set t.blocks t.n_blocks b;
+  t.n_blocks <- t.n_blocks + 1;
+  t.n_instrs <- t.n_instrs + t.weights.(b)
+
+(* End the partial path: intern it, then start the next one at the
+   transfer's destination (none after program exit). *)
+let complete t (c : Vm.cursor) end_kind =
+  let id =
+    Path_table.intern_builder t.table t.signature ~blocks:t.blocks
+      ~n_blocks:t.n_blocks ~n_instrs:t.n_instrs ~end_kind
+  in
+  t.completed_arrival <- t.arrival;
+  let dst = c.Vm.dst in
+  if dst < 0 then begin
+    t.exited <- true;
+    t.n_blocks <- 0
+  end
+  else begin
+    Signature.Builder.reset t.signature ~head:dst;
+    t.blocks.(0) <- dst;
+    t.n_blocks <- 1;
+    t.n_instrs <- t.weights.(dst);
+    t.calls_on_path <- 0;
+    t.arrival <- (if c.Vm.backward then Path.Loop_head else Path.Continuation)
+  end;
+  id
+
+let feed_cursor t (c : Vm.cursor) =
+  if t.exited then invalid_arg "Segmenter.feed: program already exited";
+  match c.Vm.kind with
+  | Vm.T_exit -> complete t c Path.Program_end
+  | Vm.T_branch ->
+    Signature.Builder.add_branch t.signature ~taken:c.Vm.taken;
+    if c.Vm.backward then complete t c Path.Backward_transfer
+    else if Signature.Builder.branch_count t.signature = Signature.max_branches then
+      complete t c Path.Cap
+    else begin
+      append t c.Vm.dst;
+      -1
+    end
+  | Vm.T_indirect ->
+    Signature.Builder.add_indirect t.signature ~target:c.Vm.dst;
+    if c.Vm.backward then complete t c Path.Backward_transfer
+    else begin
+      append t c.Vm.dst;
+      -1
+    end
+  | Vm.T_call ->
+    t.calls_on_path <- t.calls_on_path + 1;
+    if c.Vm.backward then complete t c Path.Backward_transfer
+    else begin
+      append t c.Vm.dst;
+      -1
+    end
+  | Vm.T_return ->
+    let matched = t.calls_on_path > 0 in
+    if matched then t.calls_on_path <- t.calls_on_path - 1;
+    if c.Vm.backward then complete t c Path.Backward_transfer
+    else if matched then complete t c Path.Matched_return
+    else begin
+      (* A crossed (forward, unmatched) return is an indirect branch: its
+         dynamic target disambiguates paths from shared callees. *)
+      Signature.Builder.add_indirect t.signature ~target:c.Vm.dst;
+      append t c.Vm.dst;
+      -1
+    end
+  | Vm.T_jump ->
+    if c.Vm.backward then complete t c Path.Backward_transfer
+    else begin
+      append t c.Vm.dst;
+      -1
+    end
+
+let feed t vm = feed_cursor t (Vm.cursor vm)
+
+let run ?(max_steps = max_int) ?(max_paths = max_int) t vm ~on_path =
+  let c = Vm.cursor vm in
+  (* [steps] blocks may still execute before the fuel runs out. *)
+  let rec loop ~steps ~paths =
+    if paths >= max_paths || steps <= 0 then `Fuel
+    else if not (Vm.step vm) then `Exited
+    else begin
+      let id = feed_cursor t c in
+      let paths =
+        if id >= 0 then begin
+          on_path id t.completed_arrival;
+          paths + 1
+        end
+        else paths
+      in
+      if c.Vm.kind = Vm.T_exit then `Exited else loop ~steps:(steps - 1) ~paths
+    end
+  in
+  loop ~steps:(max_steps - Vm.blocks_executed vm) ~paths:0

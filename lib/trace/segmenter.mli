@@ -1,38 +1,53 @@
 (** Streaming path segmentation.
 
-    Turns a VM transfer stream into the paper's interprocedural forward
-    paths, one completed path at a time — the shared core of the offline
-    {!Recorder} and of online consumers (the live Dynamo driver) that must
-    see each path the moment it completes, without a recording step.
+    Turns the VM's transfer stream into the paper's interprocedural
+    forward paths and interns each one into a {!Path_table} the moment it
+    completes — the shared core of the offline {!Recorder} and of online
+    consumers (the live Dynamo driver), which drive it through {!run}.
 
     Path-end rules (Section 3 of the paper; see {!Path}): backward taken
     transfers, returns matching an on-path call, the signature cap, and
     program exit.  A forward return the path extends across contributes
     its dynamic target to the signature's indirect list (see DESIGN.md
-    §5). *)
+    §5).
+
+    The partial path lives in one reusable block buffer and one
+    {!Signature.Builder}; a completed path is looked up in the table from
+    that live state and copied out only when it is new, so segmenting a
+    block or completing an already-known path allocates nothing. *)
 
 module Cfg = Hotpath_cfg.Cfg
 
-type completed = {
-  c_signature : Signature.t;
-  c_blocks : Cfg.block_id array;
-  c_n_instrs : int;
-  c_n_branches : int;
-  c_end_kind : Path.end_kind;
-  c_arrival : Path.head_kind;  (** How this path's head was reached. *)
-}
-
 type t
 
-val create : Cfg.program -> t
+val create : Cfg.program -> Path_table.t -> t
 (** Segmentation state positioned at the program entry (arrival kind
-    [Entry]). *)
+    [Entry]), interning into the given table. *)
 
-val feed : t -> Hotpath_vm.Vm.transfer -> completed option
-(** Consume one transfer (in execution order); [Some c] when it completed
-    a path.  After a [T_exit] transfer the segmenter yields the final path
-    and any further [feed] is rejected.
+val feed : t -> Hotpath_vm.Vm.t -> int
+(** Consume the transfer in the VM's cursor (transfers in execution
+    order).  When it completes a path: that path's id in the table, with
+    its arrival kind in {!arrival}.  Otherwise [-1].  After a [T_exit]
+    transfer the segmenter yields the final path and any further [feed]
+    is rejected.
     @raise Invalid_argument when fed past program exit. *)
+
+val arrival : t -> Path.head_kind
+(** How the head of the path {!feed} last completed was reached. *)
 
 val in_flight_blocks : t -> int
 (** Blocks accumulated on the current partial path (0 after exit). *)
+
+val run :
+  ?max_steps:int ->
+  ?max_paths:int ->
+  t ->
+  Hotpath_vm.Vm.t ->
+  on_path:(int -> Path.head_kind -> unit) ->
+  [ `Exited | `Fuel ]
+(** The VM -> segmenter -> intern loop: step the VM and feed every
+    transfer until the program exits ([`Exited]) or either budget is
+    spent ([`Fuel]): [max_steps] executed blocks (counted on the VM) or
+    [max_paths] completed instances (counted by this call).  [on_path id
+    arrival] sees every completed instance in order.  A path cut off by a
+    budget is not reported. *)

@@ -319,6 +319,22 @@ module Stream = struct
       w.w_paths_written <- stop
     done
 
+  (* Instances [pos, pos + len) of [ids] and [arrivals]. *)
+  let write_slice w ~table ~ids ~arrivals ~pos ~len =
+    sync_paths w ~table;
+    let off = ref pos in
+    while !off < pos + len do
+      let n = min instances_per_frame (pos + len - !off) in
+      add_i32 w.w_payload n;
+      for j = !off to !off + n - 1 do
+        add_i32 w.w_payload ids.(j)
+      done;
+      Buffer.add_subbytes w.w_payload arrivals !off n;
+      write_frame w ~kind:k_instances;
+      w.w_instances_written <- w.w_instances_written + n;
+      off := !off + n
+    done
+
   let write_chunk w ~table ~ids ~arrivals =
     if w.w_finished then
       invalid_arg "Serialize.Stream.write_chunk: writer already finished";
@@ -328,19 +344,7 @@ module Stream = struct
         (Printf.sprintf
            "Serialize.Stream.write_chunk: %d arrivals for %d instances"
            (Bytes.length arrivals) n);
-    sync_paths w ~table;
-    let off = ref 0 in
-    while !off < n do
-      let len = min instances_per_frame (n - !off) in
-      add_i32 w.w_payload len;
-      for j = !off to !off + len - 1 do
-        add_i32 w.w_payload ids.(j)
-      done;
-      Buffer.add_subbytes w.w_payload arrivals !off len;
-      write_frame w ~kind:k_instances;
-      w.w_instances_written <- w.w_instances_written + len;
-      off := !off + len
-    done
+    write_slice w ~table ~ids ~arrivals ~pos:0 ~len:n
 
   let finish w ~table ~vm_stats =
     if w.w_finished then
@@ -360,9 +364,8 @@ module Stream = struct
     let off = ref 0 in
     while !off < n do
       let len = min chunk_instances (n - !off) in
-      write_chunk w ~table:r.Recorder.table
-        ~ids:(Array.sub r.Recorder.instances !off len)
-        ~arrivals:(Bytes.sub r.Recorder.arrivals !off len);
+      write_slice w ~table:r.Recorder.table ~ids:r.Recorder.instances
+        ~arrivals:r.Recorder.arrivals ~pos:!off ~len;
       off := !off + len
     done;
     finish w ~table:r.Recorder.table ~vm_stats:r.Recorder.vm_stats
@@ -394,10 +397,10 @@ module Stream = struct
     let instances = ref 0 and seq = ref 0 in
     Recorder.record_chunked ?max_steps ?max_paths ?max_stack ?chunk_instances
       program behavior ~rng
-      ~flush:(fun ~table ~ids ~arrivals ->
-        write_chunk w ~table ~ids ~arrivals;
+      ~flush:(fun ~table ~ids ~arrivals ~len ->
+        write_slice w ~table ~ids ~arrivals ~pos:0 ~len;
         if not (Ev.is_null events) then begin
-          instances := !instances + Array.length ids;
+          instances := !instances + len;
           Ev.record_chunk events ~seq:!seq ~instances:!instances
             ~paths:(Path_table.size table) ~bytes_out:!bytes_out;
           incr seq

@@ -10,7 +10,9 @@
 
     Paths are capped at {!max_branches} conditional branches (mirroring
     trace-length caps in real systems such as Dynamo); the history then
-    fits one [int64]. *)
+    fits one native int (OCaml's [max_int] is [2^62 - 1]), so building
+    one allocates nothing.  Its on-disk encoding stays a raw 64-bit word
+    ({!history}). *)
 
 module Cfg = Hotpath_cfg.Cfg
 
@@ -70,6 +72,14 @@ module Builder : sig
   val add_indirect : t -> target:Cfg.block_id -> unit
 
   val branch_count : t -> int
+
+  val hash : t -> int
+  (** [hash b = Signature.hash (freeze b)], computed without freezing. *)
+
+  val matches : t -> signature -> bool
+  (** [matches b s = Signature.equal (freeze b) s], compared field by field
+      without freezing: head, branch count, history and every indirect
+      target. *)
 
   val freeze : t -> signature
   (** Immutable snapshot; the builder remains usable. *)

@@ -1,67 +1,98 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes rather than a mutable [int64] field,
+   so advancing it stores raw bits instead of boxing a fresh int64 on
+   every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* splitmix64 finalizer: xor-shift-multiply mixing of the advanced state. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create ~seed = { state = Int64.of_int seed }
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix64 s
 
-let copy t = { state = t.state }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create ~seed = of_state (Int64.of_int seed)
 
-let split t = { state = next_int64 t }
+let copy = Bytes.copy
+
+let next_int64 t = next t
+
+let split t = of_state (next t)
+
+let rec widen m bound = if m >= bound - 1 then m else widen ((m lsl 1) lor 1) bound
+
+(* Masked rejection sampling keeps the draw unbiased. *)
+let rec draw t ~bound ~mask =
+  let v = Int64.to_int (next t) land max_int land mask in
+  if v < bound then v else draw t ~bound ~mask
 
 let int t ~bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Masked rejection sampling keeps the draw unbiased. *)
-  let mask =
-    let rec widen m = if m >= bound - 1 then m else widen ((m lsl 1) lor 1) in
-    widen 1
-  in
-  let rec draw () =
-    let v = Int64.to_int (next_int64 t) land max_int land mask in
-    if v < bound then v else draw ()
-  in
-  draw ()
+  draw t ~bound ~mask:(widen 1 bound)
 
-let float t =
-  (* 53 high-quality bits scaled to [0,1). *)
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+(* 53 high-quality bits scaled to [0,1). *)
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11) *. (1.0 /. 9007199254740992.0)
+
+let float t = unit_float t
 
 let bool t ~p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
-  else float t < p
+  else unit_float t < p
+
+(* [unit_float t < p] compares [k * 2^-53] with [p] for the drawn 53-bit
+   integer [k]; scaling both sides by [2^53] is exact, and for an
+   integer [k], [k < x] iff [k < ceil x].  So the integer cutoff gives
+   the same outcome from the same draw, without float arithmetic. *)
+let bernoulli_cutoff ~p =
+  if p <= 0.0 then 0
+  else if p >= 1.0 then max_int
+  else int_of_float (Float.ceil (p *. 9007199254740992.0))
+
+let bernoulli t ~cutoff =
+  if cutoff <= 0 then false
+  else if cutoff = max_int then true
+  else Int64.to_int (Int64.shift_right_logical (next t) 11) < cutoff
 
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
   arr.(int t ~bound:(Array.length arr))
 
-let pick_weighted t ~weights =
+let rec scan cumulative ~last ~target i =
+  if i = last || target < Array.unsafe_get cumulative i then i
+  else scan cumulative ~last ~target (i + 1)
+
+let pick_cumulative t ~cumulative =
+  let last = Array.length cumulative - 1 in
+  scan cumulative ~last ~target:(unit_float t *. cumulative.(last)) 0
+
+let cumulative_weights weights =
   let n = Array.length weights in
   if n = 0 then invalid_arg "Prng.pick_weighted: empty weights";
-  let total = Array.fold_left (fun acc w ->
-      if w < 0.0 then invalid_arg "Prng.pick_weighted: negative weight";
-      acc +. w)
-      0.0 weights
-  in
-  if total <= 0.0 then invalid_arg "Prng.pick_weighted: zero total weight";
-  let target = float t *. total in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if target < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.0
+  let cumulative = Array.make n 0.0 in
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun i w ->
+       if w < 0.0 then invalid_arg "Prng.pick_weighted: negative weight";
+       acc := !acc +. w;
+       cumulative.(i) <- !acc)
+    weights;
+  if !acc <= 0.0 then invalid_arg "Prng.pick_weighted: zero total weight";
+  cumulative
+
+let pick_weighted t ~weights =
+  pick_cumulative t ~cumulative:(cumulative_weights weights)
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

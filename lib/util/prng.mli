@@ -8,7 +8,9 @@
     and supports cheap splitting into independent streams. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state.  The 64-bit state is stored unboxed, so a
+    draw through {!int}, {!bool}, {!pick_cumulative} or {!shuffle}
+    allocates nothing. *)
 
 val create : seed:int -> t
 (** [create ~seed] makes a fresh generator.  Generators created from equal
@@ -37,6 +39,16 @@ val float : t -> float
 val bool : t -> p:float -> bool
 (** [bool t ~p] is [true] with probability [p] (clamped to [\[0,1\]]). *)
 
+val bernoulli_cutoff : p:float -> int
+(** [p] prepared for {!bernoulli}: an integer threshold on the 53-bit
+    draw ([0] when [p <= 0], [max_int] when [p >= 1]).  [p] must not be
+    NaN. *)
+
+val bernoulli : t -> cutoff:int -> bool
+(** [bernoulli t ~cutoff:(bernoulli_cutoff ~p)] is [bool t ~p], bit for
+    bit: the same draws (none when [p <= 0] or [p >= 1]) and the same
+    outcome, decided by an integer comparison. *)
+
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array.  @raise Invalid_argument on an
     empty array. *)
@@ -44,7 +56,18 @@ val pick : t -> 'a array -> 'a
 val pick_weighted : t -> weights:float array -> int
 (** [pick_weighted t ~weights] draws an index with probability proportional
     to its weight.  Weights must be non-negative with a positive sum.
+    Equal to [pick_cumulative t ~cumulative:(cumulative_weights weights)].
     @raise Invalid_argument otherwise. *)
+
+val cumulative_weights : float array -> float array
+(** Running sums of a weight vector, added left to right from [0.0]: the
+    [i]-th entry is [w0 +. w1 +. ... +. wi] and the last is the total.
+    @raise Invalid_argument as {!pick_weighted} does. *)
+
+val pick_cumulative : t -> cumulative:float array -> int
+(** {!pick_weighted} over weights already summed by {!cumulative_weights}:
+    the same draw and the same index, bit for bit, without re-checking or
+    re-summing the weights.  [cumulative] is not validated. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

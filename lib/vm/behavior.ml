@@ -113,64 +113,116 @@ let validate t =
 module Decider = struct
   type behavior = t
 
+  (* The models compiled once, at creation.  A probability becomes the
+     integer cutoff {!Prng.bernoulli} compares a draw with.  A phased
+     model keeps the
+     index of its current phase: the step count only grows, so the phase
+     only advances and a decision never rescans the schedule.  Weight
+     vectors are summed once, so an indirect draw only scans the running
+     sums. *)
+  type branch =
+    | B_always of bool
+    | B_bias of int  (* Prng.bernoulli_cutoff of the probability *)
+    | B_correlated of { mask : int; cutoffs : int array }
+    | B_periodic of bool array
+    | B_phased of phased
+
+  and phased = { until : int array; models : branch array; mutable phase : int }
+
+  type indirect =
+    | I_uniform
+    | I_weighted of float array
+    | I_phased of { i_until : int array; cumulative : float array array; mutable i_phase : int }
+
   type t = {
-    behavior : behavior;
+    branches : branch array;  (* per block; [B_always false] off branch blocks *)
+    indirects : indirect array;  (* per block; [I_uniform] off indirect blocks *)
     rng : Prng.t;
     exec_counts : int array;  (* per-block execution count, drives Periodic *)
     mutable hist : int;
-    mutable step_count : int;
   }
 
-  let create program behavior ~rng =
-    ignore program;
+  let rec compile_branch = function
+    | Always v -> B_always v
+    | Bias p -> B_bias (Prng.bernoulli_cutoff ~p)
+    | Correlated { bits; taken_prob } ->
+      B_correlated
+        {
+          mask = (1 lsl bits) - 1;
+          cutoffs = Array.map (fun p -> Prng.bernoulli_cutoff ~p) taken_prob;
+        }
+    | Periodic pattern -> B_periodic pattern
+    | Phased schedule ->
+      B_phased
+        {
+          until = Array.map fst schedule;
+          models = Array.map (fun (_, m) -> compile_branch m) schedule;
+          phase = 0;
+        }
+
+  let compile_indirect = function
+    | Uniform_target -> I_uniform
+    | Weighted_target w -> I_weighted (Prng.cumulative_weights w)
+    | Phased_target schedule ->
+      I_phased
+        {
+          i_until = Array.map fst schedule;
+          cumulative = Array.map (fun (_, w) -> Prng.cumulative_weights w) schedule;
+          i_phase = 0;
+        }
+
+  let create _program (behavior : behavior) ~rng =
+    let blocks = behavior.program.Cfg.blocks in
     {
-      behavior;
+      branches =
+        Array.map
+          (fun (b : Cfg.block) ->
+             match b.Cfg.term with
+             | Cfg.Branch _ -> compile_branch behavior.branches.(b.Cfg.id)
+             | _ -> B_always false)
+          blocks;
+      indirects =
+        Array.map
+          (fun (b : Cfg.block) ->
+             match b.Cfg.term with
+             | Cfg.Indirect _ -> compile_indirect behavior.indirects.(b.Cfg.id)
+             | _ -> I_uniform)
+          blocks;
       rng;
-      exec_counts = Array.make (Array.length behavior.program.Cfg.blocks) 0;
+      exec_counts = Array.make (Array.length blocks) 0;
       hist = 0;
-      step_count = 0;
     }
 
-  let steps t = t.step_count
+  (* The phase in force at [step]: the first whose threshold exceeds it,
+     or the last. *)
+  let rec advance until phase step =
+    if phase = Array.length until - 1 || step < until.(phase) then phase
+    else advance until (phase + 1) step
 
-  let history t = t.hist
+  let rec eval_branch t b ~step = function
+    | B_always v -> v
+    | B_bias cutoff -> Prng.bernoulli t.rng ~cutoff
+    | B_correlated { mask; cutoffs } ->
+      Prng.bernoulli t.rng ~cutoff:cutoffs.(t.hist land mask)
+    | B_periodic pattern -> pattern.(t.exec_counts.(b) mod Array.length pattern)
+    | B_phased ph ->
+      ph.phase <- advance ph.until ph.phase step;
+      eval_branch t b ~step ph.models.(ph.phase)
 
-  let tick t = t.step_count <- t.step_count + 1
-
-  let rec eval_branch t b = function
-    | Always v -> v
-    | Bias p -> Prng.bool t.rng ~p
-    | Correlated { bits; taken_prob } ->
-      let idx = t.hist land ((1 lsl bits) - 1) in
-      Prng.bool t.rng ~p:taken_prob.(idx)
-    | Periodic pattern -> pattern.(t.exec_counts.(b) mod Array.length pattern)
-    | Phased schedule ->
-      let model = phase_pick t schedule in
-      eval_branch t b model
-
-  and phase_pick : 'a. t -> (int * 'a) array -> 'a =
-    fun t schedule ->
-    let n = Array.length schedule in
-    let rec find i =
-      if i = n - 1 then snd schedule.(i)
-      else if t.step_count < fst schedule.(i) then snd schedule.(i)
-      else find (i + 1)
-    in
-    find 0
-
-  let decide_branch t b =
-    let outcome = eval_branch t b t.behavior.branches.(b) in
+  let decide_branch t b ~step =
+    let outcome = eval_branch t b ~step t.branches.(b) in
     t.exec_counts.(b) <- t.exec_counts.(b) + 1;
     t.hist <- ((t.hist lsl 1) lor Bool.to_int outcome) land 0xFFFF;
     outcome
 
-  let decide_indirect t b ~targets =
+  let decide_indirect t b ~targets ~step =
     let idx =
-      match t.behavior.indirects.(b) with
-      | Uniform_target -> Prng.int t.rng ~bound:(Array.length targets)
-      | Weighted_target w -> Prng.pick_weighted t.rng ~weights:w
-      | Phased_target schedule ->
-        Prng.pick_weighted t.rng ~weights:(phase_pick t schedule)
+      match t.indirects.(b) with
+      | I_uniform -> Prng.int t.rng ~bound:(Array.length targets)
+      | I_weighted cumulative -> Prng.pick_cumulative t.rng ~cumulative
+      | I_phased ph ->
+        ph.i_phase <- advance ph.i_until ph.i_phase step;
+        Prng.pick_cumulative t.rng ~cumulative:ph.cumulative.(ph.i_phase)
     in
     t.exec_counts.(b) <- t.exec_counts.(b) + 1;
     targets.(idx)

@@ -67,27 +67,28 @@ val validate : t -> (unit, string) result
     sum. *)
 
 (** Decision state threaded by the VM: global branch-history register,
-    per-branch execution counts, global step count, and the random
-    stream. *)
+    per-branch execution counts, and the random stream.  The models are
+    compiled at creation: every indirect weight vector is summed once
+    ({!Hotpath_util.Prng.cumulative_weights}), and a phased model keeps
+    its current phase, which only advances, so a decision neither
+    re-sums weights nor rescans a schedule. *)
 module Decider : sig
   type behavior := t
 
   type t
 
   val create : Cfg.program -> behavior -> rng:Hotpath_util.Prng.t -> t
+  (** @raise Invalid_argument on a weight vector {!validate} rejects. *)
 
-  val decide_branch : t -> Cfg.block_id -> bool
-  (** Outcome for the conditional branch at [block]; updates history and
-      counts. *)
+  val decide_branch : t -> Cfg.block_id -> step:int -> bool
+  (** Outcome for the conditional branch at [block] when it is the
+      [step]-th block executed (1-based; phased models compare it with
+      their thresholds); updates history and counts.  [step] must not
+      decrease from one decision to the next. *)
 
-  val decide_indirect : t -> Cfg.block_id -> targets:Cfg.block_id array -> Cfg.block_id
-  (** Target choice for the indirect jump at [block]. *)
-
-  val tick : t -> unit
-  (** Advance the global step counter (one per executed block). *)
-
-  val steps : t -> int
-
-  val history : t -> int
-  (** Current global history register (low bit = most recent outcome). *)
+  val decide_indirect :
+    t -> Cfg.block_id -> targets:Cfg.block_id array -> step:int -> Cfg.block_id
+  (** Target choice for the indirect jump at [block], [step] as for
+      {!decide_branch}: the index {!Hotpath_util.Prng.pick_weighted} would
+      draw from the model's weights (uniform: {!Hotpath_util.Prng.int}). *)
 end

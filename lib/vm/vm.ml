@@ -1,28 +1,31 @@
 module Cfg = Hotpath_cfg.Cfg
-module Vec = Hotpath_util.Vec
 
-type transfer_kind =
-  | T_branch of { taken : bool }
-  | T_jump
-  | T_indirect
-  | T_call
-  | T_return
-  | T_exit
+type kind = T_branch | T_jump | T_indirect | T_call | T_return | T_exit
 
-type transfer = {
-  src : Cfg.block_id;
-  kind : transfer_kind;
-  dst : Cfg.block_id option;
-  backward : bool;
+type cursor = {
+  mutable src : Cfg.block_id;
+  mutable kind : kind;
+  mutable taken : bool;
+  mutable dst : Cfg.block_id;
+  mutable backward : bool;
 }
 
 type t = {
   program : Cfg.program;
   decider : Behavior.Decider.t;
-  stack : Cfg.block_id Vec.t;  (* return-to blocks *)
-  max_stack : int;
-  mutable current : Cfg.block_id option;
+  limit : int;  (* call-depth bound *)
+  mutable stack : Cfg.block_id array;  (* return-to blocks, [0, depth) live *)
+  mutable depth : int;
+  mutable current : Cfg.block_id;  (* -1 after exit *)
   mutable executed : int;
+  cursor : cursor;  (* the transfer made by the last [step] *)
+  (* Run counters. *)
+  mutable branches : int;
+  mutable calls : int;
+  mutable returns : int;
+  mutable indirects : int;
+  mutable backward_transfers : int;
+  mutable max_depth : int;
 }
 
 let create ?(max_stack = 10_000) program behavior ~rng =
@@ -35,52 +38,79 @@ let create ?(max_stack = 10_000) program behavior ~rng =
   {
     program;
     decider = Behavior.Decider.create program behavior ~rng;
-    stack = Vec.create ();
-    max_stack;
-    current = Some (Cfg.entry_block program);
+    limit = max_stack;
+    stack = Array.make 16 0;
+    depth = 0;
+    current = Cfg.entry_block program;
     executed = 0;
+    cursor = { src = -1; kind = T_exit; taken = false; dst = -1; backward = false };
+    branches = 0;
+    calls = 0;
+    returns = 0;
+    indirects = 0;
+    backward_transfers = 0;
+    max_depth = 0;
   }
-
-let current_block t = t.current
 
 let blocks_executed t = t.executed
 
-let stack_depth t = Vec.length t.stack
+let cursor t = t.cursor
+
+let[@inline] transfer t src kind dst =
+  let backward = dst >= 0 && Cfg.is_backward t.program ~src ~dst in
+  if backward then t.backward_transfers <- t.backward_transfers + 1;
+  let c = t.cursor in
+  c.src <- src;
+  c.kind <- kind;
+  c.dst <- dst;
+  c.backward <- backward;
+  t.current <- dst
+
+let push t return_to =
+  if t.depth >= t.limit then
+    failwith
+      (Printf.sprintf "Vm.step: call-stack overflow (depth %d) at block %d" t.limit
+         t.current);
+  if t.depth = Array.length t.stack then begin
+    let grown = Array.make (2 * t.depth) 0 in
+    Array.blit t.stack 0 grown 0 t.depth;
+    t.stack <- grown
+  end;
+  t.stack.(t.depth) <- return_to;
+  t.depth <- t.depth + 1;
+  if t.depth > t.max_depth then t.max_depth <- t.depth
 
 let step t =
-  match t.current with
-  | None -> None
-  | Some src ->
-    t.executed <- t.executed + 1;
-    Behavior.Decider.tick t.decider;
-    let mk kind dst =
-      let backward =
-        match dst with
-        | Some d -> Cfg.is_backward t.program ~src ~dst:d
-        | None -> false
-      in
-      t.current <- dst;
-      Some { src; kind; dst; backward }
-    in
-    (match (Cfg.block t.program src).term with
+  let src = t.current in
+  if src < 0 then false
+  else begin
+    let step = t.executed + 1 in
+    t.executed <- step;
+    (match t.program.Cfg.blocks.(src).Cfg.term with
      | Cfg.Branch { taken; fallthrough } ->
-       let outcome = Behavior.Decider.decide_branch t.decider src in
-       mk (T_branch { taken = outcome }) (Some (if outcome then taken else fallthrough))
-     | Cfg.Jump dst -> mk T_jump (Some dst)
+       let outcome = Behavior.Decider.decide_branch t.decider src ~step in
+       t.cursor.taken <- outcome;
+       t.branches <- t.branches + 1;
+       transfer t src T_branch (if outcome then taken else fallthrough)
+     | Cfg.Jump dst -> transfer t src T_jump dst
      | Cfg.Indirect targets ->
-       let dst = Behavior.Decider.decide_indirect t.decider src ~targets in
-       mk T_indirect (Some dst)
+       t.indirects <- t.indirects + 1;
+       transfer t src T_indirect
+         (Behavior.Decider.decide_indirect t.decider src ~targets ~step)
      | Cfg.Call { callee; return_to } ->
-       if Vec.length t.stack >= t.max_stack then
-         failwith
-           (Printf.sprintf "Vm.step: call-stack overflow (depth %d) at block %d"
-              t.max_stack src);
-       Vec.push t.stack return_to;
-       mk T_call (Some (Cfg.proc t.program callee).entry)
+       push t return_to;
+       t.calls <- t.calls + 1;
+       transfer t src T_call t.program.Cfg.procs.(callee).Cfg.entry
      | Cfg.Return ->
-       if Vec.is_empty t.stack then mk T_exit None
-       else mk T_return (Some (Vec.pop t.stack))
-     | Cfg.Exit -> mk T_exit None)
+       if t.depth = 0 then transfer t src T_exit (-1)
+       else begin
+         t.depth <- t.depth - 1;
+         t.returns <- t.returns + 1;
+         transfer t src T_return t.stack.(t.depth)
+       end
+     | Cfg.Exit -> transfer t src T_exit (-1));
+    true
+  end
 
 type run_stats = {
   reason : [ `Exited | `Fuel ];
@@ -93,6 +123,18 @@ type run_stats = {
   max_stack : int;
 }
 
+let stats t ~reason =
+  {
+    reason;
+    blocks = t.executed;
+    branches = t.branches;
+    calls = t.calls;
+    returns = t.returns;
+    indirects = t.indirects;
+    backward_transfers = t.backward_transfers;
+    max_stack = t.max_depth;
+  }
+
 let pp_run_stats ppf s =
   Format.fprintf ppf
     "@[<h>%s: blocks=%d branches=%d calls=%d returns=%d indirects=%d backward=%d \
@@ -101,37 +143,13 @@ let pp_run_stats ppf s =
     s.blocks s.branches s.calls s.returns s.indirects s.backward_transfers s.max_stack
 
 let run ?(max_steps = max_int) t ~on_transfer =
-  let branches = ref 0
-  and calls = ref 0
-  and returns = ref 0
-  and indirects = ref 0
-  and backward = ref 0
-  and max_stack_seen = ref 0 in
   let rec loop () =
     if t.executed >= max_steps then `Fuel
-    else
-      match step t with
-      | None -> `Exited
-      | Some tr ->
-        (match tr.kind with
-         | T_branch _ -> incr branches
-         | T_call -> incr calls
-         | T_return -> incr returns
-         | T_indirect -> incr indirects
-         | T_jump | T_exit -> ());
-        if tr.backward then incr backward;
-        max_stack_seen := max !max_stack_seen (Vec.length t.stack);
-        on_transfer tr;
-        loop ()
+    else if step t then begin
+      on_transfer t;
+      loop ()
+    end
+    else `Exited
   in
   let reason = loop () in
-  {
-    reason;
-    blocks = t.executed;
-    branches = !branches;
-    calls = !calls;
-    returns = !returns;
-    indirects = !indirects;
-    backward_transfers = !backward;
-    max_stack = !max_stack_seen;
-  }
+  stats t ~reason

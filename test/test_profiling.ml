@@ -190,7 +190,7 @@ let run_bl_runtime ?(max_steps = 100_000) ?(seed = 5) program behavior =
   let rt = Ball_larus.Runtime.create program in
   let vm = Vm.create program behavior ~rng:(Prng.create ~seed) in
   let _ =
-    Vm.run ~max_steps vm ~on_transfer:(fun tr -> Ball_larus.Runtime.on_transfer rt tr)
+    Vm.run ~max_steps vm ~on_transfer:(Ball_larus.Runtime.on_transfer rt)
   in
   rt
 
@@ -283,7 +283,7 @@ let test_bit_tracing_hot_set () =
 let feed_ys ?(max_steps = 100_000) ~k ?(seed = 5) program behavior =
   let ys = Young_smith.create ~k in
   let vm = Vm.create program behavior ~rng:(Prng.create ~seed) in
-  let _ = Vm.run ~max_steps vm ~on_transfer:(fun tr -> Young_smith.on_transfer ys tr) in
+  let _ = Vm.run ~max_steps vm ~on_transfer:(Young_smith.on_transfer ys) in
   ys
 
 let test_ys_k1_counts_branch_outcomes () =

@@ -8,17 +8,20 @@ module Behavior = Hotpath_vm.Behavior
 module Segmenter = Hotpath_trace.Segmenter
 module Signature = Hotpath_trace.Signature
 module Path = Hotpath_trace.Path
+module Path_table = Hotpath_trace.Path_table
 module Prng = Hotpath_util.Prng
 
+(* Every completed path, in order, with its arrival kind. *)
 let drive program behavior ~seed ~max_steps =
   let vm = Vm.create program behavior ~rng:(Prng.create ~seed) in
-  let seg = Segmenter.create program in
+  let table = Path_table.create () in
+  let seg = Segmenter.create program table in
   let completed = ref [] in
   let _ =
-    Vm.run ~max_steps vm ~on_transfer:(fun tr ->
-        match Segmenter.feed seg tr with
-        | Some c -> completed := c :: !completed
-        | None -> ())
+    Vm.run ~max_steps vm ~on_transfer:(fun vm ->
+        let id = Segmenter.feed seg vm in
+        if id >= 0 then
+          completed := (Path_table.path table id, Segmenter.arrival seg) :: !completed)
   in
   (List.rev !completed, seg)
 
@@ -27,61 +30,51 @@ let test_simple_loop_stream () =
   let completed, _ = drive program behavior ~seed:1 ~max_steps:1000 in
   Alcotest.(check int) "three paths" 3 (List.length completed);
   (match completed with
-   | [ p1; p2; p3 ] ->
-     Alcotest.(check (array int)) "entry" [| b0; b1; b2 |] p1.Segmenter.c_blocks;
-     Alcotest.(check bool) "entry arrival" true (p1.Segmenter.c_arrival = Path.Entry);
-     Alcotest.(check (array int)) "loop" [| b1; b2 |] p2.Segmenter.c_blocks;
-     Alcotest.(check bool) "loop-head arrival" true
-       (p2.Segmenter.c_arrival = Path.Loop_head);
-     Alcotest.(check (array int)) "exit" [| b1; b2; b3 |] p3.Segmenter.c_blocks;
+   | [ (p1, a1); (p2, a2); (p3, _) ] ->
+     Alcotest.(check (array int)) "entry" [| b0; b1; b2 |] p1.Path.blocks;
+     Alcotest.(check bool) "entry arrival" true (a1 = Path.Entry);
+     Alcotest.(check (array int)) "loop" [| b1; b2 |] p2.Path.blocks;
+     Alcotest.(check bool) "loop-head arrival" true (a2 = Path.Loop_head);
+     Alcotest.(check (array int)) "exit" [| b1; b2; b3 |] p3.Path.blocks;
      Alcotest.(check bool) "program end" true
-       (p3.Segmenter.c_end_kind = Path.Program_end)
+       (p3.Path.end_kind = Path.Program_end)
    | _ -> Alcotest.fail "unexpected stream")
 
 let test_instrs_and_branches_consistent () =
   let program, behavior, _ = Fixtures.indirect_loop ~exit_prob:0.05 () in
   let completed, _ = drive program behavior ~seed:5 ~max_steps:5_000 in
   List.iter
-    (fun c ->
+    (fun (p, _) ->
        let weight_sum =
          Array.fold_left
            (fun acc b -> acc + (Cfg.block program b).Cfg.weight)
-           0 c.Segmenter.c_blocks
+           0 p.Path.blocks
        in
-       Alcotest.(check int) "instrs = block weights" weight_sum
-         c.Segmenter.c_n_instrs;
+       Alcotest.(check int) "instrs = block weights" weight_sum p.Path.n_instrs;
        Alcotest.(check int) "branches = signature length"
-         (Signature.length c.Segmenter.c_signature)
-         c.Segmenter.c_n_branches)
+         (Signature.length p.Path.signature)
+         p.Path.n_branches)
     completed
 
 let test_in_flight_blocks () =
   let program, behavior, _ = Fixtures.simple_loop ~iterations:1_000 () in
   let vm = Vm.create program behavior ~rng:(Prng.create ~seed:1) in
-  let seg = Segmenter.create program in
+  let seg = Segmenter.create program (Path_table.create ()) in
   Alcotest.(check int) "starts with the entry block" 1
     (Segmenter.in_flight_blocks seg);
-  (match Vm.step vm with
-   | Some tr -> ignore (Segmenter.feed seg tr)
-   | None -> Alcotest.fail "vm ended early");
+  if Vm.step vm then ignore (Segmenter.feed seg vm)
+  else Alcotest.fail "vm ended early";
   Alcotest.(check int) "grew" 2 (Segmenter.in_flight_blocks seg)
 
 let test_feed_after_exit_rejected () =
   let program, behavior, _ = Fixtures.simple_loop ~iterations:2 () in
   let vm = Vm.create program behavior ~rng:(Prng.create ~seed:1) in
-  let seg = Segmenter.create program in
-  let last_transfer = ref None in
-  let _ =
-    Vm.run vm ~on_transfer:(fun tr ->
-        last_transfer := Some tr;
-        ignore (Segmenter.feed seg tr))
-  in
-  match !last_transfer with
-  | None -> Alcotest.fail "no transfers"
-  | Some tr ->
-    Alcotest.check_raises "feed after exit"
-      (Invalid_argument "Segmenter.feed: program already exited") (fun () ->
-        ignore (Segmenter.feed seg tr))
+  let seg = Segmenter.create program (Path_table.create ()) in
+  let stats = Vm.run vm ~on_transfer:(fun vm -> ignore (Segmenter.feed seg vm)) in
+  Alcotest.(check bool) "exited" true (stats.Vm.reason = `Exited);
+  Alcotest.check_raises "feed after exit"
+    (Invalid_argument "Segmenter.feed: program already exited") (fun () ->
+      ignore (Segmenter.feed seg vm))
 
 let test_crossed_return_target_in_signature () =
   (* Same shape as the recorder test: the path crossing the unmatched
@@ -105,11 +98,11 @@ let test_crossed_return_target_in_signature () =
   let behavior = Behavior.create program () in
   Behavior.set_branch behavior b2 (Behavior.Periodic [| true; false |]);
   let completed, _ = drive program behavior ~seed:1 ~max_steps:1_000 in
-  let last = List.nth completed (List.length completed - 1) in
+  let last, _ = List.nth completed (List.length completed - 1) in
   Alcotest.(check (array int)) "crosses the return" [| b1; b2; b3; b4; b5 |]
-    last.Segmenter.c_blocks;
+    last.Path.blocks;
   Alcotest.(check (list int)) "return target recorded as indirect" [ b4 ]
-    (Signature.indirect_targets last.Segmenter.c_signature)
+    (Signature.indirect_targets last.Path.signature)
 
 (* ------------------------------------------------------------------ *)
 (* Remaining VM behaviour models                                       *)
@@ -127,16 +120,17 @@ let test_phased_indirect_target () =
   let early = ref [] and late = ref [] in
   let steps = ref 0 in
   let _ =
-    Vm.run ~max_steps:2_000 vm ~on_transfer:(fun tr ->
+    Vm.run ~max_steps:2_000 vm ~on_transfer:(fun vm ->
         incr steps;
-        if tr.Vm.kind = Vm.T_indirect then
-          if !steps < 200 then early := tr.Vm.dst :: !early
-          else if !steps > 220 then late := tr.Vm.dst :: !late)
+        let c = Vm.cursor vm in
+        if c.Vm.kind = Vm.T_indirect then
+          if !steps < 200 then early := c.Vm.dst :: !early
+          else if !steps > 220 then late := c.Vm.dst :: !late)
   in
   Alcotest.(check bool) "early phase hits target 0" true
-    (List.for_all (fun d -> d = Some b3) !early && !early <> []);
+    (List.for_all (fun d -> d = b3) !early && !early <> []);
   Alcotest.(check bool) "late phase hits target 1" true
-    (List.for_all (fun d -> d = Some b4) !late && !late <> [])
+    (List.for_all (fun d -> d = b4) !late && !late <> [])
 
 let test_always_false_branch () =
   let program, behavior, (_, _, b2, _) = Fixtures.simple_loop () in

@@ -305,8 +305,8 @@ let test_block_trace_partition () =
   in
   let blocks = ref [] in
   let _ =
-    Hotpath_vm.Vm.run ~max_steps:500 vm ~on_transfer:(fun tr ->
-        blocks := tr.Hotpath_vm.Vm.src :: !blocks)
+    Hotpath_vm.Vm.run ~max_steps:500 vm ~on_transfer:(fun vm ->
+        blocks := (Hotpath_vm.Vm.cursor vm).Hotpath_vm.Vm.src :: !blocks)
   in
   Alcotest.(check (list int)) "partition invariant" (List.rev !blocks)
     (Recorder.block_trace r)
@@ -334,6 +334,48 @@ let test_path_table_interning () =
     table;
   Alcotest.check_raises "unknown id" (Invalid_argument "Path_table.path: unknown id 99")
     (fun () -> ignore (Path_table.path table 99))
+
+let test_path_table_hash_collision () =
+  (* [B1.,[B5;B40]] and [B1.,[B6;B9]] share a hash: (h*31+5)*31+40 =
+     (h*31+6)*31+9.  The index must tell them apart by the full key, both
+     probing from a live builder and interning a frozen signature. *)
+  let builder targets =
+    let b = Signature.Builder.create ~head:1 in
+    List.iter (fun target -> Signature.Builder.add_indirect b ~target) targets;
+    b
+  in
+  let b1 = builder [ 5; 40 ] and b2 = builder [ 6; 9 ] in
+  Alcotest.(check int) "colliding hashes" (Signature.Builder.hash b1)
+    (Signature.Builder.hash b2);
+  let table = Path_table.create () in
+  let blocks = [| 1; 2 |] in
+  let intern b =
+    Path_table.intern_builder table b ~blocks ~n_blocks:2 ~n_instrs:2
+      ~end_kind:Path.Backward_transfer
+  in
+  let id1 = intern b1 and id2 = intern b2 in
+  Alcotest.(check (pair int int)) "distinct ids" (0, 1) (id1, id2);
+  Alcotest.(check (pair int int)) "hits find their own path" (0, 1) (intern b1, intern b2);
+  let s2 = Signature.Builder.freeze b2 in
+  Alcotest.(check (option int)) "find by frozen signature" (Some 1)
+    (Path_table.find table s2);
+  Alcotest.(check int) "frozen intern hits" 1
+    (Path_table.intern table s2 ~blocks ~n_instrs:2 ~n_branches:0
+       ~end_kind:Path.Backward_transfer);
+  let b3 = builder [ 7; -22 ] in
+  Alcotest.(check int) "a third collider" (Signature.Builder.hash b1)
+    (Signature.Builder.hash b3);
+  Alcotest.(check (option int)) "absent collider not found" None
+    (Path_table.find table (Signature.Builder.freeze b3));
+  (* Growth rehashes every slot: ids survive a resize. *)
+  for head = 100 to 3_000 do
+    ignore
+      (Path_table.intern_builder table (Signature.Builder.create ~head) ~blocks:[| head |]
+         ~n_blocks:1 ~n_instrs:1 ~end_kind:Path.Backward_transfer)
+  done;
+  Alcotest.(check (option int)) "found after growth" (Some 1) (Path_table.find table s2);
+  Alcotest.(check (option int)) "last path found" (Some (Path_table.size table - 1))
+    (Path_table.find table (Signature.Builder.freeze (Signature.Builder.create ~head:3_000)))
 
 let test_path_divergence () =
   let mk blocks =
@@ -394,6 +436,8 @@ let suites =
     ( "trace.path_table",
       [
         Alcotest.test_case "interning" `Quick test_path_table_interning;
+        Alcotest.test_case "hash collisions compare the full key" `Quick
+          test_path_table_hash_collision;
         Alcotest.test_case "divergence" `Quick test_path_divergence;
         Alcotest.test_case "unique heads" `Quick test_unique_heads;
       ] );

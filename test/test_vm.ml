@@ -7,14 +7,13 @@ module Prng = Hotpath_util.Prng
 
 let rng () = Prng.create ~seed:1234
 
+module T = Ref_recorder
+
 let collect_transfers ?(max_steps = 10_000) program behavior =
-  let vm = Vm.create program behavior ~rng:(rng ()) in
-  let acc = ref [] in
-  let stats = Vm.run ~max_steps vm ~on_transfer:(fun tr -> acc := tr :: !acc) in
-  (List.rev !acc, stats)
+  T.transfers ~max_steps (Vm.create program behavior ~rng:(rng ()))
 
 let block_sequence transfers =
-  List.map (fun tr -> tr.Vm.src) transfers
+  List.map (fun tr -> tr.T.src) transfers
 
 let test_simple_loop_trace () =
   let program, behavior, (b0, b1, b2, b3) = Fixtures.simple_loop ~iterations:3 () in
@@ -33,8 +32,8 @@ let test_branch_outcomes_recorded () =
   let branch_outcomes =
     List.filter_map
       (fun tr ->
-         match tr.Vm.kind with
-         | Vm.T_branch { taken } -> Some (tr.Vm.src, taken, tr.Vm.dst, tr.Vm.backward)
+         match tr.T.kind with
+         | T.T_branch { taken } -> Some (tr.T.src, taken, tr.T.dst, tr.T.backward)
          | _ -> None)
       transfers
   in
@@ -62,11 +61,11 @@ let test_call_return () =
      (b2 -> b3) and the return (b4 -> b5) are forward. *)
   let call_forward =
     List.exists
-      (fun tr -> tr.Vm.kind = Vm.T_call && tr.Vm.src = b2 && not tr.Vm.backward)
+      (fun tr -> tr.T.kind = T.T_call && tr.T.src = b2 && not tr.T.backward)
       transfers
   and return_forward =
     List.exists
-      (fun tr -> tr.Vm.kind = Vm.T_return && tr.Vm.src = b4 && not tr.Vm.backward)
+      (fun tr -> tr.T.kind = T.T_return && tr.T.src = b4 && not tr.T.backward)
       transfers
   in
   Alcotest.(check bool) "call b2->b3 is forward" true call_forward;
@@ -79,8 +78,8 @@ let test_recursive_call_backward () =
   let recursive_call_backward =
     List.exists
       (fun tr ->
-         tr.Vm.kind = Vm.T_call && tr.Vm.src = b3 && tr.Vm.dst = Some b2
-         && tr.Vm.backward)
+         tr.T.kind = T.T_call && tr.T.src = b3 && tr.T.dst = Some b2
+         && tr.T.backward)
       transfers
   in
   Alcotest.(check bool) "recursive call is backward" true recursive_call_backward
@@ -92,9 +91,9 @@ let test_indirect_targets () =
   let transfers, _ = collect_transfers ~max_steps:1000 program behavior in
   List.iter
     (fun tr ->
-       if tr.Vm.kind = Vm.T_indirect && tr.Vm.src = b2 then begin
-         Alcotest.(check (option int)) "always first target" (Some b3) tr.Vm.dst;
-         Alcotest.(check bool) "never second" true (tr.Vm.dst <> Some b4)
+       if tr.T.kind = T.T_indirect && tr.T.src = b2 then begin
+         Alcotest.(check (option int)) "always first target" (Some b3) tr.T.dst;
+         Alcotest.(check bool) "never second" true (tr.T.dst <> Some b4)
        end)
     transfers
 
@@ -173,10 +172,9 @@ let test_correlated_model_uses_history () =
   let vm = Vm.create program behavior ~rng:(rng ()) in
   let outcomes = ref [] in
   let _ =
-    Vm.run ~max_steps:40 vm ~on_transfer:(fun tr ->
-        match tr.Vm.kind with
-        | Vm.T_branch { taken } -> outcomes := taken :: !outcomes
-        | _ -> ())
+    Vm.run ~max_steps:40 vm ~on_transfer:(fun vm ->
+        let c = Vm.cursor vm in
+        if c.Vm.kind = Vm.T_branch then outcomes := c.Vm.taken :: !outcomes)
   in
   (* History starts at 0 -> taken, then not taken, then program exits. *)
   Alcotest.(check (list bool)) "alternating" [ true; false ] (List.rev !outcomes)

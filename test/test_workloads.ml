@@ -86,12 +86,12 @@ let test_generator_micro_loop_periodicity () =
   let vm = Vm.create program behavior ~rng:(Prng.create ~seed:3) in
   let backward_branches = ref 0 and total_branches = ref 0 in
   let _ =
-    Vm.run ~max_steps:4_000 vm ~on_transfer:(fun tr ->
-        match tr.Vm.kind with
-        | Vm.T_branch _ when (Cfg.block program tr.Vm.src).Cfg.proc <> 0 ->
+    Vm.run ~max_steps:4_000 vm ~on_transfer:(fun vm ->
+        let c = Vm.cursor vm in
+        if c.Vm.kind = Vm.T_branch && (Cfg.block program c.Vm.src).Cfg.proc <> 0 then begin
           incr total_branches;
-          if tr.Vm.backward then incr backward_branches
-        | _ -> ())
+          if c.Vm.backward then incr backward_branches
+        end)
   in
   (* The pattern fires on every 4th latch execution regardless of visit
      boundaries: rate = 1/4 exactly (up to edge effects). *)
@@ -139,16 +139,18 @@ let test_generator_phase_flip_changes_behavior () =
   let steps = ref 0 in
   let diamond_src = ref None in
   let _ =
-    Vm.run ~max_steps:20_000 vm ~on_transfer:(fun tr ->
+    Vm.run ~max_steps:20_000 vm ~on_transfer:(fun vm ->
         incr steps;
-        match tr.Vm.kind with
-        | Vm.T_branch { taken } when not tr.Vm.backward -> begin
+        let c = Vm.cursor vm in
+        let taken = c.Vm.taken in
+        match c.Vm.kind with
+        | Vm.T_branch when not c.Vm.backward -> begin
             (* Identify the diamond branch: a forward conditional whose two
                targets differ (the latch's forward side exits the loop and
                is rare under iterations=1000). *)
             match !diamond_src with
-            | None -> diamond_src := Some tr.Vm.src
-            | Some src when src = tr.Vm.src ->
+            | None -> diamond_src := Some c.Vm.src
+            | Some src when src = c.Vm.src ->
               if !steps < 5_000 then begin
                 incr n_phase1;
                 if taken then incr taken_phase1
