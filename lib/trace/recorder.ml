@@ -31,15 +31,21 @@ let default_chunk_instances = 65_536
 
 (* Instance ids and arrival codes in two arrays that double as they
    fill, up to [cap] entries. *)
-type buffer = { mutable b_ids : int array; mutable b_arrivals : Bytes.t; mutable b_len : int }
+type buffer = {
+  b_cap : int;
+  mutable b_ids : int array;
+  mutable b_arrivals : Bytes.t;
+  mutable b_len : int;
+}
 
 let buffer ~cap =
-  { b_ids = Array.make (min cap 4096) 0; b_arrivals = Bytes.create (min cap 4096); b_len = 0 }
+  let size = min cap 4096 in
+  { b_cap = cap; b_ids = Array.make size 0; b_arrivals = Bytes.create size; b_len = 0 }
 
-let push buf ~cap id arrival =
+let push buf id arrival =
   let n = buf.b_len in
   if n = Array.length buf.b_ids then begin
-    let size = min cap (2 * n) in
+    let size = min buf.b_cap (2 * n) in
     let ids = Array.make size 0 in
     Array.blit buf.b_ids 0 ids 0 n;
     buf.b_ids <- ids;
@@ -73,7 +79,7 @@ let record_chunked ?max_steps ?max_paths ?max_stack
   let vm_stats =
     drive ?max_steps ?max_paths ?max_stack program behavior ~rng ~table
       ~on_path:(fun id arrival ->
-          push chunk ~cap:chunk_instances id arrival;
+          push chunk id arrival;
           incr total;
           if chunk.b_len = chunk_instances then flush_chunk ())
   in
@@ -91,7 +97,7 @@ let record ?max_steps ?max_paths ?max_stack program behavior ~rng =
   let all = buffer ~cap:max_int in
   let vm_stats =
     drive ?max_steps ?max_paths ?max_stack program behavior ~rng ~table
-      ~on_path:(push all ~cap:max_int)
+      ~on_path:(push all)
   in
   {
     program;

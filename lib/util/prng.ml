@@ -46,17 +46,13 @@ let[@inline] unit_float t =
 
 let float t = unit_float t
 
-let bool t ~p =
-  if p <= 0.0 then false
-  else if p >= 1.0 then true
-  else unit_float t < p
-
-(* [unit_float t < p] compares [k * 2^-53] with [p] for the drawn 53-bit
+(* [float t < p] compares [k * 2^-53] with [p] for the drawn 53-bit
    integer [k]; scaling both sides by [2^53] is exact, and for an
    integer [k], [k < x] iff [k < ceil x].  So the integer cutoff gives
    the same outcome from the same draw, without float arithmetic. *)
 let bernoulli_cutoff ~p =
-  if p <= 0.0 then 0
+  if Float.is_nan p then invalid_arg "Prng.bernoulli_cutoff: NaN probability"
+  else if p <= 0.0 then 0
   else if p >= 1.0 then max_int
   else int_of_float (Float.ceil (p *. 9007199254740992.0))
 
@@ -64,6 +60,8 @@ let bernoulli t ~cutoff =
   if cutoff <= 0 then false
   else if cutoff = max_int then true
   else Int64.to_int (Int64.shift_right_logical (next t) 11) < cutoff
+
+let bool t ~p = bernoulli t ~cutoff:(bernoulli_cutoff ~p)
 
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";

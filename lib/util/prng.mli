@@ -37,17 +37,20 @@ val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
 val bool : t -> p:float -> bool
-(** [bool t ~p] is [true] with probability [p] (clamped to [\[0,1\]]). *)
+(** [bool t ~p] is [true] with probability [p] (clamped to [\[0,1\]]):
+    [float t < p], drawing nothing when [p <= 0] or [p >= 1].
+    @raise Invalid_argument when [p] is NaN. *)
 
 val bernoulli_cutoff : p:float -> int
 (** [p] prepared for {!bernoulli}: an integer threshold on the 53-bit
-    draw ([0] when [p <= 0], [max_int] when [p >= 1]).  [p] must not be
-    NaN. *)
+    draw ([0] when [p <= 0], [max_int] when [p >= 1]).
+    @raise Invalid_argument when [p] is NaN. *)
 
 val bernoulli : t -> cutoff:int -> bool
-(** [bernoulli t ~cutoff:(bernoulli_cutoff ~p)] is [bool t ~p], bit for
-    bit: the same draws (none when [p <= 0] or [p >= 1]) and the same
-    outcome, decided by an integer comparison. *)
+(** [bernoulli t ~cutoff:(bernoulli_cutoff ~p)] is [bool t ~p]: the
+    comparison of {!float} with [p] decided on the integer draw, with no
+    float arithmetic, so a probability prepared once costs nothing per
+    draw. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array.  @raise Invalid_argument on an

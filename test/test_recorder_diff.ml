@@ -371,8 +371,10 @@ let prop_decider_branch_equals_models =
                Behavior.Decider.decide_branch decider b0 ~step:!step = expected)
             gaps))
 
-let prop_bernoulli_equals_bool =
-  QCheck.Test.make ~name:"Prng.bernoulli (cutoff p) == Prng.bool p" ~count:300
+(* [Prng.bool] decides on an integer cutoff; its definition is the
+   float draw compared with [p], with no draw at the clamped ends. *)
+let prop_bernoulli_equals_float_draw =
+  QCheck.Test.make ~name:"Prng.bool (integer cutoff) == float draw < p" ~count:300
     QCheck.(
       make ~print:Print.(pair float int)
         Gen.(
@@ -383,9 +385,14 @@ let prop_bernoulli_equals_bool =
             (0 -- 1_000_000)))
     (fun (p, seed) ->
        let a = Prng.create ~seed and b = Prng.create ~seed in
+       let reference () =
+         if p <= 0.0 then false else if p >= 1.0 then true else Prng.float a < p
+       in
        let cutoff = Prng.bernoulli_cutoff ~p in
        List.for_all
-         (fun _ -> Prng.bool a ~p = Prng.bernoulli b ~cutoff)
+         (fun i ->
+            let expected = reference () in
+            expected = (if i mod 2 = 0 then Prng.bool b ~p else Prng.bernoulli b ~cutoff))
          (List.init 64 Fun.id)
        && Int64.equal (Prng.next_int64 a) (Prng.next_int64 b))
 
@@ -403,6 +410,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_decider_equals_pick_weighted;
         QCheck_alcotest.to_alcotest prop_phased_decider_equals_pick_weighted;
         QCheck_alcotest.to_alcotest prop_decider_branch_equals_models;
-        QCheck_alcotest.to_alcotest prop_bernoulli_equals_bool;
+        QCheck_alcotest.to_alcotest prop_bernoulli_equals_float_draw;
       ] );
   ]

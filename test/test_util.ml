@@ -14,6 +14,14 @@ let check_float = Alcotest.(check (float 1e-9))
 (* Prng                                                                *)
 (* ------------------------------------------------------------------ *)
 
+let test_prng_splitmix64_reference () =
+  (* The published splitmix64 outputs for state 0: the stream every seed
+     derivation, workload and trace rests on. *)
+  let t = Prng.create ~seed:0 in
+  List.iter
+    (fun expected -> Alcotest.(check int64) "splitmix64" expected (Prng.next_int64 t))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ]
+
 let test_prng_determinism () =
   let a = Prng.create ~seed:42 and b = Prng.create ~seed:42 in
   for _ = 1 to 100 do
@@ -464,6 +472,8 @@ let suites =
     ( "util.prng",
       [
         Alcotest.test_case "determinism" `Quick test_prng_determinism;
+        Alcotest.test_case "splitmix64 reference outputs" `Quick
+          test_prng_splitmix64_reference;
         Alcotest.test_case "seed sensitivity" `Quick test_prng_seed_sensitivity;
         Alcotest.test_case "copy replays" `Quick test_prng_copy_replays;
         Alcotest.test_case "split independence" `Quick test_prng_split_independent;
