@@ -67,13 +67,15 @@ let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
   arr.(int t ~bound:(Array.length arr))
 
-let rec scan cumulative ~last ~target i =
-  if i = last || target < Array.unsafe_get cumulative i then i
-  else scan cumulative ~last ~target (i + 1)
-
+(* The first index whose running sum exceeds the target, or the last. *)
 let pick_cumulative t ~cumulative =
   let last = Array.length cumulative - 1 in
-  scan cumulative ~last ~target:(unit_float t *. cumulative.(last)) 0
+  let target = unit_float t *. cumulative.(last) in
+  let i = ref 0 in
+  while !i < last && not (target < Array.unsafe_get cumulative !i) do
+    incr i
+  done;
+  !i
 
 let cumulative_weights weights =
   let n = Array.length weights in
