@@ -72,49 +72,29 @@ let complete t (c : Vm.cursor) end_kind =
 
 let feed_cursor t (c : Vm.cursor) =
   if t.exited then invalid_arg "Segmenter.feed: program already exited";
-  match c.Vm.kind with
-  | Vm.T_exit -> complete t c Path.Program_end
-  | Vm.T_branch ->
-    Signature.Builder.add_branch t.signature ~taken:c.Vm.taken;
-    if c.Vm.backward then complete t c Path.Backward_transfer
-    else if Signature.Builder.branch_count t.signature = Signature.max_branches then
-      complete t c Path.Cap
-    else begin
-      append t c.Vm.dst;
-      -1
-    end
-  | Vm.T_indirect ->
-    Signature.Builder.add_indirect t.signature ~target:c.Vm.dst;
-    if c.Vm.backward then complete t c Path.Backward_transfer
-    else begin
-      append t c.Vm.dst;
-      -1
-    end
-  | Vm.T_call ->
-    t.calls_on_path <- t.calls_on_path + 1;
-    if c.Vm.backward then complete t c Path.Backward_transfer
-    else begin
-      append t c.Vm.dst;
-      -1
-    end
-  | Vm.T_return ->
-    let matched = t.calls_on_path > 0 in
-    if matched then t.calls_on_path <- t.calls_on_path - 1;
-    if c.Vm.backward then complete t c Path.Backward_transfer
-    else if matched then complete t c Path.Matched_return
-    else begin
-      (* A crossed (forward, unmatched) return is an indirect branch: its
-         dynamic target disambiguates paths from shared callees. *)
+  let kind = c.Vm.kind in
+  (match kind with
+   | Vm.T_branch -> Signature.Builder.add_branch t.signature ~taken:c.Vm.taken
+   | Vm.T_indirect -> Signature.Builder.add_indirect t.signature ~target:c.Vm.dst
+   | Vm.T_call -> t.calls_on_path <- t.calls_on_path + 1
+   | Vm.T_return | Vm.T_jump | Vm.T_exit -> ());
+  let matched_return = kind = Vm.T_return && t.calls_on_path > 0 in
+  if matched_return then t.calls_on_path <- t.calls_on_path - 1;
+  if kind = Vm.T_exit then complete t c Path.Program_end
+  else if c.Vm.backward then complete t c Path.Backward_transfer
+  else if matched_return then complete t c Path.Matched_return
+  else if
+    kind = Vm.T_branch
+    && Signature.Builder.branch_count t.signature = Signature.max_branches
+  then complete t c Path.Cap
+  else begin
+    (* A crossed (forward, unmatched) return is an indirect branch: its
+       dynamic target disambiguates paths from shared callees. *)
+    if kind = Vm.T_return then
       Signature.Builder.add_indirect t.signature ~target:c.Vm.dst;
-      append t c.Vm.dst;
-      -1
-    end
-  | Vm.T_jump ->
-    if c.Vm.backward then complete t c Path.Backward_transfer
-    else begin
-      append t c.Vm.dst;
-      -1
-    end
+    append t c.Vm.dst;
+    -1
+  end
 
 let feed t vm = feed_cursor t (Vm.cursor vm)
 

@@ -114,25 +114,20 @@ module Decider = struct
   type behavior = t
 
   (* The models compiled once, at creation.  A probability becomes the
-     integer cutoff {!Prng.bernoulli} compares a draw with.  A phased
-     model keeps the
-     index of its current phase: the step count only grows, so the phase
-     only advances and a decision never rescans the schedule.  Weight
-     vectors are summed once, so an indirect draw only scans the running
-     sums. *)
+     integer cutoff [Prng.bernoulli] compares a draw with, and a weight
+     vector its running sums.  A phased model keeps the index of its
+     current phase: the step count only grows, so the phase only
+     advances and a decision never rescans the schedule. *)
+  type 'a phased = { until : int array; models : 'a array; mutable phase : int }
+
   type branch =
     | B_always of bool
-    | B_bias of int  (* Prng.bernoulli_cutoff of the probability *)
+    | B_bias of int
     | B_correlated of { mask : int; cutoffs : int array }
     | B_periodic of bool array
-    | B_phased of phased
+    | B_phased of branch phased
 
-  and phased = { until : int array; models : branch array; mutable phase : int }
-
-  type indirect =
-    | I_uniform
-    | I_weighted of float array
-    | I_phased of { i_until : int array; cumulative : float array array; mutable i_phase : int }
+  type indirect = I_uniform | I_weighted of float array | I_phased of float array phased
 
   type t = {
     branches : branch array;  (* per block; [B_always false] off branch blocks *)
@@ -141,6 +136,22 @@ module Decider = struct
     exec_counts : int array;  (* per-block execution count, drives Periodic *)
     mutable hist : int;
   }
+
+  let phased compile schedule =
+    {
+      until = Array.map fst schedule;
+      models = Array.map (fun (_, m) -> compile m) schedule;
+      phase = 0;
+    }
+
+  (* The model in force at [step]: the first phase whose threshold
+     exceeds it, or the last. *)
+  let current ph ~step =
+    let last = Array.length ph.until - 1 in
+    while ph.phase < last && step >= ph.until.(ph.phase) do
+      ph.phase <- ph.phase + 1
+    done;
+    ph.models.(ph.phase)
 
   let rec compile_branch = function
     | Always v -> B_always v
@@ -152,26 +163,14 @@ module Decider = struct
           cutoffs = Array.map (fun p -> Prng.bernoulli_cutoff ~p) taken_prob;
         }
     | Periodic pattern -> B_periodic pattern
-    | Phased schedule ->
-      B_phased
-        {
-          until = Array.map fst schedule;
-          models = Array.map (fun (_, m) -> compile_branch m) schedule;
-          phase = 0;
-        }
+    | Phased schedule -> B_phased (phased compile_branch schedule)
 
   let compile_indirect = function
     | Uniform_target -> I_uniform
     | Weighted_target w -> I_weighted (Prng.cumulative_weights w)
-    | Phased_target schedule ->
-      I_phased
-        {
-          i_until = Array.map fst schedule;
-          cumulative = Array.map (fun (_, w) -> Prng.cumulative_weights w) schedule;
-          i_phase = 0;
-        }
+    | Phased_target schedule -> I_phased (phased Prng.cumulative_weights schedule)
 
-  let create _program (behavior : behavior) ~rng =
+  let create (behavior : behavior) ~rng =
     let blocks = behavior.program.Cfg.blocks in
     {
       branches =
@@ -193,21 +192,13 @@ module Decider = struct
       hist = 0;
     }
 
-  (* The phase in force at [step]: the first whose threshold exceeds it,
-     or the last. *)
-  let rec advance until phase step =
-    if phase = Array.length until - 1 || step < until.(phase) then phase
-    else advance until (phase + 1) step
-
   let rec eval_branch t b ~step = function
     | B_always v -> v
     | B_bias cutoff -> Prng.bernoulli t.rng ~cutoff
     | B_correlated { mask; cutoffs } ->
       Prng.bernoulli t.rng ~cutoff:cutoffs.(t.hist land mask)
     | B_periodic pattern -> pattern.(t.exec_counts.(b) mod Array.length pattern)
-    | B_phased ph ->
-      ph.phase <- advance ph.until ph.phase step;
-      eval_branch t b ~step ph.models.(ph.phase)
+    | B_phased ph -> eval_branch t b ~step (current ph ~step)
 
   let decide_branch t b ~step =
     let outcome = eval_branch t b ~step t.branches.(b) in
@@ -220,9 +211,7 @@ module Decider = struct
       match t.indirects.(b) with
       | I_uniform -> Prng.int t.rng ~bound:(Array.length targets)
       | I_weighted cumulative -> Prng.pick_cumulative t.rng ~cumulative
-      | I_phased ph ->
-        ph.i_phase <- advance ph.i_until ph.i_phase step;
-        Prng.pick_cumulative t.rng ~cumulative:ph.cumulative.(ph.i_phase)
+      | I_phased ph -> Prng.pick_cumulative t.rng ~cumulative:(current ph ~step)
     in
     t.exec_counts.(b) <- t.exec_counts.(b) + 1;
     targets.(idx)

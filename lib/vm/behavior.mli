@@ -77,7 +77,7 @@ module Decider : sig
 
   type t
 
-  val create : Cfg.program -> behavior -> rng:Hotpath_util.Prng.t -> t
+  val create : behavior -> rng:Hotpath_util.Prng.t -> t
   (** @raise Invalid_argument on a weight vector {!validate} rejects. *)
 
   val decide_branch : t -> Cfg.block_id -> step:int -> bool

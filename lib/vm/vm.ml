@@ -37,7 +37,7 @@ let create ?(max_stack = 10_000) program behavior ~rng =
    | Error e -> invalid_arg ("Vm.create: invalid behavior: " ^ e));
   {
     program;
-    decider = Behavior.Decider.create program behavior ~rng;
+    decider = Behavior.Decider.create behavior ~rng;
     limit = max_stack;
     stack = Array.make 16 0;
     depth = 0;

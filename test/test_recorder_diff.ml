@@ -276,7 +276,7 @@ let prop_decider_equals_pick_weighted =
        let program, d, targets = dispatch_program (Array.length weights) in
        let behavior = Behavior.create program () in
        Behavior.set_indirect behavior d (Behavior.Weighted_target weights);
-       let decider = Behavior.Decider.create program behavior ~rng:(Prng.create ~seed) in
+       let decider = Behavior.Decider.create behavior ~rng:(Prng.create ~seed) in
        let rng = Prng.create ~seed in
        List.for_all
          (fun step ->
@@ -296,7 +296,7 @@ let prop_phased_decider_equals_pick_weighted =
        let program, d, targets = dispatch_program n in
        let behavior = Behavior.create program () in
        Behavior.set_indirect behavior d (Behavior.Phased_target [| (20, w1); (max_int, w2) |]);
-       let decider = Behavior.Decider.create program behavior ~rng:(Prng.create ~seed) in
+       let decider = Behavior.Decider.create behavior ~rng:(Prng.create ~seed) in
        let rng = Prng.create ~seed in
        List.for_all
          (fun step ->
@@ -359,7 +359,7 @@ let prop_decider_branch_equals_models =
        let program = Cfg.Builder.finish b in
        let behavior = Behavior.create program () in
        Behavior.set_branch behavior b0 model;
-       let decider = Behavior.Decider.create program behavior ~rng:(Prng.create ~seed) in
+       let decider = Behavior.Decider.create behavior ~rng:(Prng.create ~seed) in
        let rng = Prng.create ~seed in
        let hist = ref 0 and step = ref 0 in
        List.for_all Fun.id
