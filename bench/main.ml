@@ -1082,15 +1082,12 @@ let () =
     streaming_demo ~smoke ~scale
   end;
   if mode = "record" then begin
-    (* Recording priced per benchmark, at full scale either way (about
-       a second of recording).  Full mode times the best of three runs
-       and (re)writes the BENCH_record.json baseline; --smoke runs once
-       and is the CI allocation gate. *)
+    (* Recording priced per benchmark, at scale 1 either way (about a
+       second of recording), so every run is comparable with the
+       checked-in baseline.  Full mode times the best of three runs and
+       (re)writes BENCH_record.json; --smoke runs once and is the CI
+       allocation gate. *)
     let smoke = Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke" in
-    let scale =
-      if (not smoke) && Array.length Sys.argv > 2 then float_of_string Sys.argv.(2)
-      else 1.0
-    in
-    record_bench ~smoke ~scale
+    record_bench ~smoke ~scale:1.0
   end;
   if mode = "all" || mode = "tables" then reproductions ()

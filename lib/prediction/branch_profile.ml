@@ -145,7 +145,7 @@ let run ~delay (r : Recorder.t) =
       update_counts program ~taken_counts ~indirect_counts p;
       ops :=
         !ops + p.Path.n_branches
-        + List.length (Signature.indirect_targets p.Path.signature);
+        + Signature.n_indirects p.Path.signature;
       if Recorder.arrival r i = Path.Loop_head then begin
         let head = Path.head p in
         incr ops;

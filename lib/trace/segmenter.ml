@@ -32,8 +32,6 @@ let create program table =
     exited = false;
   }
 
-let arrival t = t.completed_arrival
-
 let in_flight_blocks t = t.n_blocks
 
 let grow_blocks t =
@@ -71,7 +69,7 @@ let complete t (c : Vm.cursor) end_kind =
   id
 
 let feed_cursor t (c : Vm.cursor) =
-  if t.exited then invalid_arg "Segmenter.feed: program already exited";
+  if t.exited then invalid_arg "Segmenter.run: program already exited";
   let kind = c.Vm.kind in
   (match kind with
    | Vm.T_branch -> Signature.Builder.add_branch t.signature ~taken:c.Vm.taken
@@ -95,8 +93,6 @@ let feed_cursor t (c : Vm.cursor) =
     append t c.Vm.dst;
     -1
   end
-
-let feed t vm = feed_cursor t (Vm.cursor vm)
 
 let run ?(max_steps = max_int) ?(max_paths = max_int) t vm ~on_path =
   let c = Vm.cursor vm in

@@ -24,17 +24,6 @@ val create : Cfg.program -> Path_table.t -> t
 (** Segmentation state positioned at the program entry (arrival kind
     [Entry]), interning into the given table. *)
 
-val feed : t -> Hotpath_vm.Vm.t -> int
-(** Consume the transfer in the VM's cursor (transfers in execution
-    order).  When it completes a path: that path's id in the table, with
-    its arrival kind in {!arrival}.  Otherwise [-1].  After a [T_exit]
-    transfer the segmenter yields the final path and any further [feed]
-    is rejected.
-    @raise Invalid_argument when fed past program exit. *)
-
-val arrival : t -> Path.head_kind
-(** How the head of the path {!feed} last completed was reached. *)
-
 val in_flight_blocks : t -> int
 (** Blocks accumulated on the current partial path (0 after exit). *)
 
@@ -50,4 +39,6 @@ val run :
     spent ([`Fuel]): [max_steps] executed blocks (counted on the VM) or
     [max_paths] completed instances (counted by this call).  [on_path id
     arrival] sees every completed instance in order.  A path cut off by a
-    budget is not reported. *)
+    budget is not reported.  The segmenter yields the final path at
+    program exit; running it again on a VM that still steps is rejected.
+    @raise Invalid_argument when fed a transfer past program exit. *)

@@ -77,7 +77,8 @@ let add_path buf (p : Path.t) =
   add_i32 buf (Signature.head s);
   add_u8 buf (Signature.length s);
   add_raw_i64 buf (Signature.history s);
-  add_int_array buf (Array.of_list (Signature.indirect_targets s));
+  add_i32 buf (Signature.n_indirects s);
+  Signature.iter_indirects (add_i32 buf) s;
   add_int_array buf p.Path.blocks;
   add_i64 buf p.Path.n_instrs;
   add_u8 buf (end_kind_code p.Path.end_kind)

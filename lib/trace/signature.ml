@@ -21,10 +21,22 @@ let history s = Int64.of_int s.sbits
 
 let indirect_targets s = Array.to_list s.sindirects
 
+let n_indirects s = Array.length s.sindirects
+
+let iter_indirects f s = Array.iter f s.sindirects
+
 let equal a b =
   a.shead = b.shead && a.slen = b.slen && a.sbits = b.sbits
   && Array.length a.sindirects = Array.length b.sindirects
   && Array.for_all2 Int.equal a.sindirects b.sindirects
+
+(* Lexicographic over the targets in order; a proper prefix sorts first. *)
+let rec compare_indirects a b i =
+  if i = Array.length a then if i = Array.length b then 0 else -1
+  else if i = Array.length b then 1
+  else
+    let c = Int.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_indirects a b (i + 1)
 
 let compare a b =
   let c = Int.compare a.shead b.shead in
@@ -34,10 +46,7 @@ let compare a b =
     if c <> 0 then c
     else
       let c = Int.compare a.sbits b.sbits in
-      if c <> 0 then c
-      else
-        List.compare Int.compare
-          (Array.to_list a.sindirects) (Array.to_list b.sindirects)
+      if c <> 0 then c else compare_indirects a.sindirects b.sindirects 0
 
 (* One hash for a frozen signature and for a builder's live state, so a
    probe from the segmenter lands where the frozen copy was stored. *)

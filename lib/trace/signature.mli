@@ -38,6 +38,12 @@ val history : t -> int64
 val indirect_targets : t -> Cfg.block_id list
 (** Indirect-branch targets in execution order (usually empty). *)
 
+val n_indirects : t -> int
+(** [List.length (indirect_targets s)], without building the list. *)
+
+val iter_indirects : (Cfg.block_id -> unit) -> t -> unit
+(** Apply a function to each indirect-branch target in execution order. *)
+
 val equal : t -> t -> bool
 
 val compare : t -> t -> int

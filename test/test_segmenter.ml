@@ -18,10 +18,8 @@ let drive program behavior ~seed ~max_steps =
   let seg = Segmenter.create program table in
   let completed = ref [] in
   let _ =
-    Vm.run ~max_steps vm ~on_transfer:(fun vm ->
-        let id = Segmenter.feed seg vm in
-        if id >= 0 then
-          completed := (Path_table.path table id, Segmenter.arrival seg) :: !completed)
+    Segmenter.run ~max_steps seg vm ~on_path:(fun id arrival ->
+        completed := (Path_table.path table id, arrival) :: !completed)
   in
   (List.rev !completed, seg)
 
@@ -62,19 +60,21 @@ let test_in_flight_blocks () =
   let seg = Segmenter.create program (Path_table.create ()) in
   Alcotest.(check int) "starts with the entry block" 1
     (Segmenter.in_flight_blocks seg);
-  if Vm.step vm then ignore (Segmenter.feed seg vm)
-  else Alcotest.fail "vm ended early";
+  if Segmenter.run ~max_steps:1 seg vm ~on_path:(fun _ _ -> ()) <> `Fuel then
+    Alcotest.fail "vm ended early";
   Alcotest.(check int) "grew" 2 (Segmenter.in_flight_blocks seg)
 
 let test_feed_after_exit_rejected () =
   let program, behavior, _ = Fixtures.simple_loop ~iterations:2 () in
-  let vm = Vm.create program behavior ~rng:(Prng.create ~seed:1) in
+  let fresh_vm () = Vm.create program behavior ~rng:(Prng.create ~seed:1) in
   let seg = Segmenter.create program (Path_table.create ()) in
-  let stats = Vm.run vm ~on_transfer:(fun vm -> ignore (Segmenter.feed seg vm)) in
-  Alcotest.(check bool) "exited" true (stats.Vm.reason = `Exited);
+  let no_path _ _ = () in
+  Alcotest.(check bool) "exited" true
+    (Segmenter.run seg (fresh_vm ()) ~on_path:no_path = `Exited);
+  Alcotest.(check int) "nothing in flight" 0 (Segmenter.in_flight_blocks seg);
   Alcotest.check_raises "feed after exit"
-    (Invalid_argument "Segmenter.feed: program already exited") (fun () ->
-      ignore (Segmenter.feed seg vm))
+    (Invalid_argument "Segmenter.run: program already exited") (fun () ->
+      ignore (Segmenter.run seg (fresh_vm ()) ~on_path:no_path))
 
 let test_crossed_return_target_in_signature () =
   (* Same shape as the recorder test: the path crossing the unmatched
