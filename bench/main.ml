@@ -22,36 +22,6 @@ let heading title =
 (* profiling primitives whose costs the paper's argument rests on.      *)
 (* ------------------------------------------------------------------ *)
 
-(* Defeat the packed entry points' kernel dispatch (keyed on the physical
-   identity of [observe]) without changing behaviour: the eta-expansion
-   allocates a fresh closure, so [Replay.run_many] falls back to the
-   generic first-class-module loop.  This is how the benchmarks price the
-   packed loop against the monomorphized kernels on the same scheme. *)
-module Degrade (S : Scheme.S) : Scheme.S = struct
-  include S
-
-  let observe t ~head ~arrival ~path_id ~n_branches ~n_blocks =
-    S.observe t ~head ~arrival ~path_id ~n_branches ~n_blocks
-end
-
-module Net_generic = Degrade (Net)
-module Pp_generic = Degrade (Path_profile_scheme)
-
-(* The k-iteration kernels are recognized by the identity of [create]
-   ([observe] alone captures nothing instantiation-specific and is
-   shared across every k), so their generic twins eta-expand [create]
-   instead. *)
-module Degrade_k (S : Scheme.S) : Scheme.S = struct
-  include S
-
-  let create ~delay ~program = S.create ~delay ~program
-end
-
-module Net_k2 = (val Net_k.make 2)
-module Pp_k2 = (val Path_profile_k.make 2)
-module Net_k2_generic = Degrade_k (Net_k2)
-module Pp_k2_generic = Degrade_k (Pp_k2)
-
 let ops_tests () =
   (* Profiling primitives, measured per operation. *)
   let sig_builder = Signature.Builder.create ~head:0 in
@@ -190,7 +160,9 @@ let experiment_tests () =
     Bechamel.Test.make ~name:"replay/packed-generic-loop"
       (Bechamel.Staged.stage (fun () ->
            ignore
-             (Replay.run_many (module Net_generic) ~delays:kernel_delays recorded)))
+             (Replay.run_many
+                (Scheme.generic (module Net))
+                ~delays:kernel_delays recorded)))
   in
   let replay_kernel =
     Bechamel.Test.make ~name:"replay/monomorphized-kernel"
@@ -614,16 +586,11 @@ let kernel_bench ~smoke ~scale =
   (* Bit-identity across all three loops, per scheme, before any timing:
      a fast wrong kernel is worthless. *)
   let schemes =
-    [
-      ("net", (module Net : Scheme.S), (module Net_generic : Scheme.S));
-      ( "path-profile",
-        (module Path_profile_scheme : Scheme.S),
-        (module Pp_generic : Scheme.S) );
-      ("net-k2", (module Net_k2 : Scheme.S), (module Net_k2_generic : Scheme.S));
-      ( "path-profile-k2",
-        (module Pp_k2 : Scheme.S),
-        (module Pp_k2_generic : Scheme.S) );
-    ]
+    List.map
+      (fun name ->
+         let s = Schemes.of_name_exn name in
+         (name, s, Scheme.generic s))
+      [ "net"; "path-profile"; "net-k2"; "path-profile-k2" ]
   in
   List.iter
     (fun (name, packed, generic) ->

@@ -58,7 +58,8 @@ let scheme_arg =
   in
   (* Validated at parse time (a bad name is a usage error, not an
      uncaught exception), but carried as the string: serve-send ships
-     the name over the wire and the others re-resolve it memoized. *)
+     the name over the wire and the others parse it again with
+     [scheme_of_string]. *)
   let scheme_conv =
     Arg.conv
       ( (fun s ->

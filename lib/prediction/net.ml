@@ -61,6 +61,12 @@ struct
 
   let name = V.name
 
+  let kernel =
+    match V.variant with
+    | Next_tail -> Scheme.Net
+    | Next_tail_once -> Scheme.Net_once
+    | Previous_tail -> Scheme.Last_executed_tail
+
   let create ~delay ~program =
     ignore program;
     if delay < 1 then invalid_arg (V.name ^ ".create: delay must be >= 1");

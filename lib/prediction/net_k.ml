@@ -19,11 +19,14 @@ type state = {
   mutable collection : int;
 }
 
-let make_module k : Scheme.packed =
+let make k : Scheme.packed =
+  if k < 1 then invalid_arg "Net_k.make: k must be >= 1";
   (module struct
     type t = state
 
     let name = "net-k" ^ string_of_int k
+
+    let kernel = Scheme.Net_k k
 
     let create ~delay ~program =
       ignore program;
@@ -70,23 +73,3 @@ let make_module k : Scheme.packed =
 
     let collection_ops t = t.collection
   end : Scheme.S)
-
-let table : (int, Scheme.packed) Hashtbl.t = Hashtbl.create 8
-
-let make k =
-  if k < 1 then invalid_arg "Net_k.make: k must be >= 1";
-  match Hashtbl.find_opt table k with
-  | Some m -> m
-  | None ->
-    let m = make_module k in
-    Hashtbl.add table k m;
-    m
-
-(* Same coercion-robust identity trick as [Path_profile_k.recognize]:
-   compare the per-[k] [create] closure, the one guaranteed fresh per
-   instantiation. *)
-let recognize (module M : Scheme.S) =
-  Hashtbl.fold
-    (fun k (module M' : Scheme.S) acc ->
-       if Obj.repr M.create == Obj.repr M'.create then Some k else acc)
-    table None

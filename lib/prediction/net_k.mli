@@ -7,11 +7,6 @@
     bit-identically to {!Net} (modulo the scheme name). *)
 
 val make : int -> Scheme.packed
-(** The scheme for a given [k], memoized: repeated calls return the
-    physically same module.
+(** The scheme for a given [k], declaring the kernel
+    [Scheme.Net_k k].
     @raise Invalid_argument when [k < 1]. *)
-
-val recognize : Scheme.packed -> int option
-(** [Some k] iff the module is one produced by {!make}, identified by
-    the physical identity of its per-[k] [create] closure (see
-    {!Path_profile_k.recognize}). *)

@@ -21,6 +21,8 @@ type t = {
 
 let name = "net-kauto"
 
+let kernel = Scheme.Generic
+
 let create ~delay ~program =
   if delay < 1 then invalid_arg "Net_kauto.create: delay must be >= 1";
   {

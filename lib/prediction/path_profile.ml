@@ -9,6 +9,8 @@ type t = {
 
 let name = "path-profile"
 
+let kernel = Scheme.Path_profile
+
 let create ~delay ~program =
   ignore program;
   if delay < 1 then invalid_arg "Path_profile.create: delay must be >= 1";

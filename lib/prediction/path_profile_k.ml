@@ -29,11 +29,14 @@ let count_incr counts node =
   Vec.set counts node c;
   c
 
-let make_module k : Scheme.packed =
+let make k : Scheme.packed =
+  if k < 1 then invalid_arg "Path_profile_k.make: k must be >= 1";
   (module struct
     type t = state
 
     let name = "path-profile-k" ^ string_of_int k
+
+    let kernel = Scheme.Path_profile_k k
 
     let create ~delay ~program =
       ignore program;
@@ -61,27 +64,3 @@ let make_module k : Scheme.packed =
 
     let collection_ops _ = 0
   end : Scheme.S)
-
-let table : (int, Scheme.packed) Hashtbl.t = Hashtbl.create 8
-
-let make k =
-  if k < 1 then invalid_arg "Path_profile_k.make: k must be >= 1";
-  match Hashtbl.find_opt table k with
-  | Some m -> m
-  | None ->
-    let m = make_module k in
-    Hashtbl.add table k m;
-    m
-
-(* Module coercions copy module blocks (value fields preserved), so the
-   packed value itself is not stable under re-packing — a per-[make k]
-   closure is.  [create] is the one that provably captures [k] (via the
-   trie constructor and the name): [observe] here does not mention [k]
-   at all, so the compiler lifts it to a single static closure shared by
-   every instantiation, which would make every k recognize as the same
-   one. *)
-let recognize (module M : Scheme.S) =
-  Hashtbl.fold
-    (fun k (module M' : Scheme.S) acc ->
-       if Obj.repr M.create == Obj.repr M'.create then Some k else acc)
-    table None

@@ -8,13 +8,6 @@
     {!Path_profile} (modulo the scheme name). *)
 
 val make : int -> Scheme.packed
-(** The scheme for a given [k], memoized: repeated calls return the
-    physically same module, so kernel dispatch and registry snapshots
-    stay stable.
+(** The scheme for a given [k], declaring the kernel
+    [Scheme.Path_profile_k k].
     @raise Invalid_argument when [k < 1]. *)
-
-val recognize : Scheme.packed -> int option
-(** [Some k] iff the module is one produced by {!make}, identified by
-    the physical identity of its per-[k] [create] closure (stable under
-    module coercion, which copies module blocks but not value fields) —
-    how {!Replay} routes to the monomorphized kernel. *)

@@ -28,6 +28,8 @@ type t = {
 
 let name = "path-profile-kauto"
 
+let kernel = Scheme.Generic
+
 let create ~delay ~program =
   if delay < 1 then
     invalid_arg "Path_profile_kauto.create: delay must be >= 1";

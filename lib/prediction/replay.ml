@@ -142,27 +142,6 @@ let run ?events scheme ~delay r =
   | [ o ] -> o
   | _ -> assert false
 
-module Make (S : Scheme.S) = struct
-  (* Fresh closures for the two members [Session.kernel] keys on, so the
-     session always runs the generic loop: this is the reference the
-     kernels are tested against. *)
-  module Generic : Scheme.S = struct
-    include S
-
-    let create ~delay ~program = S.create ~delay ~program
-
-    let observe t ~head ~arrival ~path_id ~n_branches ~n_blocks =
-      S.observe t ~head ~arrival ~path_id ~n_branches ~n_blocks
-  end
-
-  let run_many ?events ~delays r = run_many ?events (module Generic) ~delays r
-
-  let run ?events ~delay r =
-    match run_many ?events ~delays:[ delay ] r with
-    | [ o ] -> o
-    | _ -> assert false
-end
-
 let run_many_mapped ?events scheme ~delays rd =
   drive ?events scheme ~delays (Reader rd)
 

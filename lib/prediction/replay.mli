@@ -94,23 +94,14 @@ val run_many :
     Every replay — materialized ({!run_many}), mapped or pulled
     ({!run_many_mapped}), and pushed ({!Session}) — runs one
     {!Session} over {!Hotpath_trace.Batch.t}s, and each scheme
-    family has exactly one lane loop ({!Session.kernel}): the built-in
-    NET variants, path-profile, path-profile-k and NET-k get kernels
-    that flatten the scheme's hashtable state into dense arrays, and
-    every other scheme runs the generic loop, which calls the scheme
-    through its module.  Built-ins are recognized by physical identity,
-    so wrapping or re-deriving a scheme safely falls back to the
-    generic loop.  {!Make} always runs the generic loop: it is the
-    reference the kernels are property-tested byte-identical against;
-    [bench kernel] measures the spread. *)
-
-module Make (S : Scheme.S) : sig
-  val run :
-    ?events:events -> delay:int -> Hotpath_trace.Recorder.t -> outcome
-
-  val run_many :
-    ?events:events -> delays:int list -> Hotpath_trace.Recorder.t -> outcome list
-end
+    family has exactly one lane loop, the one the scheme declares in
+    {!Scheme.S.kernel}: the built-in NET variants, path-profile,
+    path-profile-k and NET-k declare kernels that flatten the scheme's
+    hashtable state into dense arrays, and every other scheme declares
+    the generic loop, which calls the scheme through its module.
+    [run_many (Scheme.generic s)] replays [s] through the generic loop:
+    it is the reference the kernels are property-tested byte-identical
+    against; [bench kernel] measures the spread. *)
 
 val run_mapped :
   ?events:events ->

@@ -1,10 +1,21 @@
 module Cfg = Hotpath_cfg.Cfg
 module Path = Hotpath_trace.Path
 
+type kernel =
+  | Generic
+  | Net
+  | Net_once
+  | Last_executed_tail
+  | Path_profile
+  | Net_k of int
+  | Path_profile_k of int
+
 module type S = sig
   type t
 
   val name : string
+
+  val kernel : kernel
 
   val create : delay:int -> program:Cfg.program -> t
 
@@ -29,3 +40,10 @@ end
 type packed = (module S)
 
 let name (module M : S) = M.name
+
+let generic (module M : S) : packed =
+  (module struct
+    include M
+
+    let kernel = Generic
+  end)

@@ -17,10 +17,32 @@
 module Cfg = Hotpath_cfg.Cfg
 module Path = Hotpath_trace.Path
 
+(** The lane loop a session runs for a scheme: [Generic] calls the
+    scheme through its module once per profiled instance; every other
+    constructor names a hand-written loop in {!Session} that inlines
+    that built-in scheme with its tables flattened into arrays. *)
+type kernel =
+  | Generic
+  | Net  (** {!Net}. *)
+  | Net_once  (** {!Net.Net_once}. *)
+  | Last_executed_tail  (** {!Net.Last_executed_tail}. *)
+  | Path_profile  (** {!Path_profile}. *)
+  | Net_k of int  (** {!Net_k.make} [k]. *)
+  | Path_profile_k of int  (** {!Path_profile_k.make} [k]. *)
+
 module type S = sig
   type t
 
   val name : string
+
+  val kernel : kernel
+  (** The loop that replays this scheme.  A kernel other than [Generic]
+      is a promise that the scheme's functions behave exactly like the
+      built-in it names, since the session then never calls them (apart
+      from [create] to validate delays).  A module that redefines
+      [create] or [observe] must therefore declare [Generic], which is
+      what {!generic} does.  The kernel-vs-generic differentials hold
+      each built-in's declaration to its scheme. *)
 
   val create : delay:int -> program:Cfg.program -> t
   (** Fresh scheme state with prediction delay [delay] (the paper's τ).
@@ -56,3 +78,8 @@ end
 type packed = (module S)
 
 val name : packed -> string
+
+val generic : packed -> packed
+(** The same scheme, declaring [Generic]: it keeps every function and
+    the name, and replays through the reference loop.  The only way to
+    ask for that loop for a built-in. *)

@@ -164,8 +164,8 @@ type loop = {
 (* ------------------------------------------------------------------ *)
 
 (* The generic loop calls the scheme through its module once per
-   profiled instance per lane.  It runs every scheme the dispatch below
-   does not recognize, and through [Replay.Make] it is the reference the
+   profiled instance per lane.  It runs every scheme that declares
+   [Generic], and through [Scheme.generic] it is the reference the
    kernels are tested against. *)
 module Generic_loop (S : Scheme.S) = struct
   let walk states ls (b : Batch.t) ~lo ~hi ~base =
@@ -213,6 +213,8 @@ end
    path ([push_batch]) and every declared path's head is a program
    block ([sync]). *)
 
+(* One loop for the three NET kernels: [Net], [Net_once] and
+   [Last_executed_tail]. *)
 type net_variant = Rearm | Once | Prev
 
 (* Net.state flattened: counts.(h) < 0 means "no counter yet",
@@ -494,40 +496,6 @@ let netk_loop k ~program ls =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch                                                            *)
-(* ------------------------------------------------------------------ *)
-
-type kernel =
-  | Generic
-  | Net_kernel of net_variant
-  | Path_profile_kernel
-  | Path_profile_k_kernel of int
-  | Net_k_kernel of int
-
-(* A packed module is recognized as a built-in by the physical identity
-   of its [observe] closure — allocated once at scheme-module init and
-   preserved by signature coercions, which copy module blocks but never
-   wrap regular value fields.  The k-iteration families share [observe]
-   across every k and are keyed on [create] instead.  [Obj.repr] only
-   erases the state-type difference for the pointer comparison; nothing
-   is read through it.  Unrecognized schemes (including look-alikes that
-   merely reuse a built-in's name) run the generic loop. *)
-let same_fn f g = Obj.repr f == Obj.repr g
-
-let kernel (module S : Scheme.S) =
-  if same_fn S.observe Net.observe then Net_kernel Rearm
-  else if same_fn S.observe Net.Net_once.observe then Net_kernel Once
-  else if same_fn S.observe Net.Last_executed_tail.observe then Net_kernel Prev
-  else if same_fn S.observe Path_profile.observe then Path_profile_kernel
-  else
-    match Path_profile_k.recognize (module S) with
-    | Some k -> Path_profile_k_kernel k
-    | None -> (
-        match Net_k.recognize (module S) with
-        | Some k -> Net_k_kernel k
-        | None -> Generic)
-
-(* ------------------------------------------------------------------ *)
 (* Online sessions                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -583,14 +551,16 @@ let create ?events:ev ?(lint = true) ?on_predict (module S : Scheme.S) ~delays
       }
     in
     let loop =
-      match kernel (module S) with
-      | Generic ->
+      match S.kernel with
+      | Scheme.Generic ->
         let module G = Generic_loop (S) in
         G.loop ~program ls
-      | Net_kernel v -> net_loop v ~program ls
-      | Path_profile_kernel -> pp_loop ls
-      | Path_profile_k_kernel k -> ppk_loop k ls
-      | Net_k_kernel k -> netk_loop k ~program ls
+      | Scheme.Net -> net_loop Rearm ~program ls
+      | Scheme.Net_once -> net_loop Once ~program ls
+      | Scheme.Last_executed_tail -> net_loop Prev ~program ls
+      | Scheme.Path_profile -> pp_loop ls
+      | Scheme.Path_profile_k k -> ppk_loop k ls
+      | Scheme.Net_k k -> netk_loop k ~program ls
     in
     Ok
       {

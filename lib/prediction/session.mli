@@ -8,11 +8,11 @@
     replay runs through sessions: {!Replay.run_many} fills batches from
     a recording, {!Replay.run_many_mapped} from a pull or mapped reader,
     and the serve daemon from pushed bytes, so all three run the same
-    lane loop for a given scheme (see {!kernel}).  Batching is pure loop
-    tiling: pushing a trace in any granularity (the differential suite
-    drives 1, prime-sized, and larger-than-trace batches) produces
-    outcomes, counter registries, and event streams bit-identical to
-    one batch of the whole trace.
+    lane loop for a given scheme (see {!section-loops}).  Batching is
+    pure loop tiling: pushing a trace in any granularity (the
+    differential suite drives 1, prime-sized, and larger-than-trace
+    batches) produces outcomes, counter registries, and event streams
+    bit-identical to one batch of the whole trace.
 
     Sessions also carry the trace lint gate online (on by default): each
     batch is checked against the program — newly declared paths, then
@@ -57,30 +57,17 @@ val default_events_window : int
 val events : ?window:int -> ?is_hot:(int -> bool) -> Events.sink -> events
 (** See [Replay.events].  @raise Invalid_argument when [window < 1]. *)
 
-(** {1 Lane loops}
+(** {1:loops Lane loops}
 
     Each scheme family has exactly one per-instance loop over
-    {!Hotpath_trace.Batch.t}, and a session is its only driver: the
-    generic loop calls any {!Scheme.S} through its module, and four
-    kernels inline the built-in families with their tables flattened
-    into arrays over dense ids. *)
-
-type net_variant = Rearm | Once | Prev
-(** {!Net}, {!Net.Net_once} and {!Net.Last_executed_tail}. *)
-
-type kernel =
-  | Generic
-  | Net_kernel of net_variant
-  | Path_profile_kernel
-  | Path_profile_k_kernel of int  (** {!Path_profile_k.make} [k]. *)
-  | Net_k_kernel of int  (** {!Net_k.make} [k]. *)
-
-val kernel : Scheme.packed -> kernel
-(** The loop {!create} runs for a scheme.  Built-ins are recognized by
-    the physical identity of their [observe] (of [create] for the
-    k-iteration families, whose [observe] is shared across every k), so
-    a wrapped or re-derived scheme, even one reusing a built-in's name,
-    gets [Generic]. *)
+    {!Hotpath_trace.Batch.t}, and a session is its only driver.
+    {!create} runs the loop the scheme declares in {!Scheme.S.kernel}:
+    the generic loop calls any {!Scheme.S} through its module, and four
+    kernels inline the built-in families (NET with its once and
+    last-executed-tail variants, path-profile, path-profile-k and
+    NET-k) with their tables flattened into arrays over dense ids.
+    {!Scheme.generic} sends a built-in through the generic loop, which
+    is how the differential suites hold each kernel to its scheme. *)
 
 type t
 

@@ -24,6 +24,8 @@ type t = {
 
 let name = "static"
 
+let kernel = Scheme.Generic
+
 (* Mirrors [Suite.hot_threshold]; [lib/workloads] sits above this
    library, so the constant is restated rather than imported. *)
 let hot_share = 0.001

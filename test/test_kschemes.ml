@@ -149,22 +149,8 @@ let test_k1_event_streams_and_registry () =
 (* Kernel == generic walker at k > 1                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Eta-expanding [create] breaks the physical identity the kernel
-   dispatch keys on, so the wrapped module takes the generic
+(* [Scheme.generic] replays the same scheme through the generic
    first-class-module loop; outcomes must not change. *)
-let wrap (module S : Scheme.S) : Scheme.packed =
-  (module struct
-    type t = S.t
-
-    let name = S.name
-    let create ~delay ~program = S.create ~delay ~program
-    let observe = S.observe
-    let collect = S.collect
-    let counter_space = S.counter_space
-    let profiling_ops = S.profiling_ops
-    let collection_ops = S.collection_ops
-  end)
-
 let test_kernels_equal_generic () =
   let r = List.assoc "compress" (Lazy.force recordings) in
   List.iter
@@ -173,7 +159,7 @@ let test_kernels_equal_generic () =
          (fun (family, make) ->
             let packed = make k in
             let kernel = Replay.run_many packed ~delays r in
-            let generic = Replay.run_many (wrap packed) ~delays r in
+            let generic = Replay.run_many (Scheme.generic packed) ~delays r in
             check_outcomes_sans_name
               (Printf.sprintf "%s-k%d kernel==generic" family k)
               generic kernel)
@@ -285,18 +271,48 @@ let test_schemes_of_name_valid () =
       "net"; "net-once"; "let"; "path-profile"; "net-k1"; "net-k2";
       "path-profile-k1"; "path-profile-k3";
       "net-k" ^ string_of_int Schemes.max_k;
-    ];
-  (* Parsed k-schemes are the memoized instances the kernels recognize. *)
-  (match Schemes.of_name "path-profile-k2" with
-   | Ok packed ->
-     Alcotest.(check (option int)) "recognized as k=2" (Some 2)
-       (Path_profile_k.recognize packed)
-   | Error e -> Alcotest.failf "path-profile-k2: %s" e);
-  match Schemes.of_name "net-k3" with
-  | Ok packed ->
-    Alcotest.(check (option int)) "recognized as k=3" (Some 3)
-      (Net_k.recognize packed)
-  | Error e -> Alcotest.failf "net-k3: %s" e
+    ]
+
+(* Every registry name declares the lane loop its scheme was written
+   for, and [Scheme.generic] changes that loop and nothing else: the
+   name and the scheme's own delay validation stay. *)
+let test_schemes_declare_kernels () =
+  let program = (List.assoc "compress" (Lazy.force recordings)).Recorder.program in
+  let kernel (module S : Scheme.S) = S.kernel in
+  let rejection (module S : Scheme.S) =
+    match S.create ~delay:0 ~program with
+    | _ -> None
+    | exception Invalid_argument m -> Some m
+  in
+  List.iter
+    (fun (name, expected) ->
+       let s = Schemes.of_name_exn name in
+       let g = Scheme.generic s in
+       Alcotest.(check bool) (name ^ " declares its kernel") true
+         (kernel s = expected);
+       Alcotest.(check bool) (name ^ ": generic declares Generic") true
+         (kernel g = Scheme.Generic);
+       Alcotest.(check string) (name ^ ": generic keeps the name") name
+         (Scheme.name g);
+       Alcotest.(check bool) (name ^ ": delay 0 rejected") true
+         (rejection s <> None);
+       Alcotest.(check (option string))
+         (name ^ ": generic keeps delay validation") (rejection s)
+         (rejection g))
+    [
+      ("net", Scheme.Net);
+      ("net-once", Scheme.Net_once);
+      ("let", Scheme.Last_executed_tail);
+      ("path-profile", Scheme.Path_profile);
+      ("static", Scheme.Generic);
+      ("net-kauto", Scheme.Generic);
+      ("path-profile-kauto", Scheme.Generic);
+      ("net-k1", Scheme.Net_k 1);
+      ("net-k3", Scheme.Net_k 3);
+      ("path-profile-k2", Scheme.Path_profile_k 2);
+      ("path-profile-k" ^ string_of_int Schemes.max_k,
+       Scheme.Path_profile_k Schemes.max_k);
+    ]
 
 let test_schemes_of_name_rejects () =
   let expect_error name fragment =
@@ -391,6 +407,8 @@ let suites =
           test_schemes_of_name_valid;
         Alcotest.test_case "malformed names typed-rejected" `Quick
           test_schemes_of_name_rejects;
+        Alcotest.test_case "every name declares its kernel" `Quick
+          test_schemes_declare_kernels;
       ] );
     ( "kschemes.kpath",
       [

@@ -353,43 +353,26 @@ let prop_run_many_single_pass =
 (* Monomorphized kernels                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The packed entry points dispatch the built-in schemes to specialized
-   kernels; Make(S) always compiles the generic loop.  Comparing the two
-   on the same scheme is therefore the kernel-vs-reference differential. *)
-module Make_net = Replay.Make (Net)
-module Make_net_once = Replay.Make (Net.Net_once)
-module Make_let = Replay.Make (Net.Last_executed_tail)
-module Make_pp = Replay.Make (Path_profile)
-
-let prop_functor_equals_packed =
+(* Each built-in kernel scheme declares its hand-written lane loop;
+   [Scheme.generic] sends the same scheme through the generic loop.
+   Comparing the two on the same recording is the kernel-vs-reference
+   differential. *)
+let prop_generic_equals_packed =
   QCheck.Test.make
-    ~name:"Make(S) generic loop is bit-identical to packed kernels" ~count:25
+    ~name:"Scheme.generic loop is bit-identical to packed kernels" ~count:25
     arb_workload
     (fun w ->
        let _, recorded = record_spec w in
        let delays = [ 1; 3; 7; 20; 100; 5_000 ] in
        List.for_all
-         (fun (packed, via_functor, via_functor_one) ->
+         (fun (_, kernel, twin) ->
             List.for_all2 outcome_equal
-              (Replay.run_many packed ~delays recorded)
-              (via_functor ~delays recorded)
+              (Replay.run_many kernel ~delays recorded)
+              (Replay.run_many twin ~delays recorded)
             && outcome_equal
-                 (Replay.run packed ~delay:7 recorded)
-                 (via_functor_one ~delay:7 recorded))
-         [
-           ( (module Net : Scheme.S),
-             (fun ~delays r -> Make_net.run_many ~delays r),
-             fun ~delay r -> Make_net.run ~delay r );
-           ( (module Net.Net_once),
-             (fun ~delays r -> Make_net_once.run_many ~delays r),
-             fun ~delay r -> Make_net_once.run ~delay r );
-           ( (module Net.Last_executed_tail),
-             (fun ~delays r -> Make_let.run_many ~delays r),
-             fun ~delay r -> Make_let.run ~delay r );
-           ( (module Path_profile),
-             (fun ~delays r -> Make_pp.run_many ~delays r),
-             fun ~delay r -> Make_pp.run ~delay r );
-         ])
+                 (Replay.run kernel ~delay:7 recorded)
+                 (Replay.run twin ~delay:7 recorded))
+         Generic_twins.pairs)
 
 let prop_replay_capture_monotone_in_delay =
   QCheck.Test.make ~name:"captured flow shrinks as delay grows" ~count:30
@@ -407,17 +390,6 @@ let prop_replay_capture_monotone_in_delay =
 
 module Batch = Hotpath_trace.Batch
 module Session = Hotpath_prediction.Session
-module Net_k2 = Generic_twins.Net_k2
-module Pp_k2 = Generic_twins.Pp_k2
-
-(* The paper's schemes: every NET variant and path-profile. *)
-let paper_schemes =
-  [
-    (module Net : Scheme.S);
-    (module Net.Net_once);
-    (module Net.Last_executed_tail);
-    (module Path_profile);
-  ]
 
 (* Push [r] into a fresh session in slices of [g] instances, every slice
    refilling one batch (the readers' shape); [None] on any error. *)
@@ -469,15 +441,9 @@ let prop_push_granularity_equals_run_many =
                  | None -> false
                  | Some pushed -> List.for_all2 outcome_equal reference pushed)
               [ 1; 13; 37; n + 1 ])
-         (paper_schemes
-          @ [
-            (module Net_k2 : Scheme.S);
-            (module Pp_k2);
-            (module Generic_twins.Net_generic);
-            (module Generic_twins.Pp_generic);
-            (module Generic_twins.Net_k2_generic);
-            (module Generic_twins.Pp_k2_generic);
-          ]))
+         (List.concat_map
+            (fun (_, kernel, twin) -> [ kernel; twin ])
+            Generic_twins.pairs))
 
 let prop_run_many_mapped_equals_serial =
   (* The zero-copy mapped driver against the materialized reference:
@@ -508,10 +474,6 @@ let prop_run_many_mapped_equals_serial =
            && List.for_all2 outcome_equal materialized ms
        in
        List.for_all
-         (fun scheme ->
-            mapped_equals (Replay.run_many scheme ~delays recorded) scheme)
-         paper_schemes
-       && List.for_all
          (fun (_, kernel, twin) ->
             let materialized = Replay.run_many kernel ~delays recorded in
             mapped_equals materialized kernel && mapped_equals materialized twin)
@@ -626,7 +588,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_boa_phantoms_never_in_table;
         QCheck_alcotest.to_alcotest prop_replay_capture_monotone_in_delay;
         QCheck_alcotest.to_alcotest prop_run_many_equals_per_delay_runs;
-        QCheck_alcotest.to_alcotest prop_functor_equals_packed;
+        QCheck_alcotest.to_alcotest prop_generic_equals_packed;
         QCheck_alcotest.to_alcotest prop_run_many_single_pass;
         QCheck_alcotest.to_alcotest prop_stream_roundtrip;
         QCheck_alcotest.to_alcotest prop_run_stream_equals_run;
