@@ -6,6 +6,7 @@
      dune exec bench/main.exe -- tables    # reproductions only
      dune exec bench/main.exe -- events    # event-stream overhead proof
      dune exec bench/main.exe -- record [--smoke]  # recording rate and words/instance
+     dune exec bench/main.exe -- dynamo [--smoke]  # Dynamo engine rate and words/instance
 
    Reproduction output mirrors `hotpath table1|table2|fig2|fig3|fig4|fig5`
    and is recorded in EXPERIMENTS.md. *)
@@ -989,6 +990,99 @@ let record_bench ~smoke ~scale =
     Format.printf "  wrote %s@." bench_record_file
   end
 
+(* ------------------------------------------------------------------ *)
+(* Dynamo engine: instances/s and minor words per instance over the     *)
+(* Dynamo set, one row per Figure 5 scheme (BENCH_dynamo.json)          *)
+(* ------------------------------------------------------------------ *)
+
+let bench_dynamo_file = "BENCH_dynamo.json"
+
+(* Allocation ceiling for the smoke gate, in minor words per instance
+   for each scheme over the five recordings.  Like the recording gate it
+   is exact: the count is a pure function of the code and the seeds.  A
+   path instance itself allocates nothing; what is left is per path
+   (memos, installed fragments) and per run (the scheme's state, and
+   static's program-wide estimate). *)
+let dynamo_words_ceiling = 2.0
+
+let bench_dynamo_line ~scheme ~delay ~scale ~instances ~wall_s ~words ~cold_words =
+  let buf = Buffer.create 256 in
+  Events.emit (Events.of_buffer buf) ~kind:"bench_dynamo"
+    [
+      ("scheme", Events.Str scheme);
+      ("delay", Events.Int delay);
+      ("scale", Events.Float scale);
+      ("instances", Events.Int instances);
+      ("wall_s", Events.Float wall_s);
+      ("instances_per_s", Events.Float (float_of_int instances /. wall_s));
+      ("minor_words_per_inst", Events.Float (words /. float_of_int instances));
+      ("cold_minor_words_per_inst", Events.Float (cold_words /. float_of_int instances));
+    ];
+  Buffer.contents buf
+
+(* [Engine.run] at delay 50 over the five Dynamo-set recordings at
+   Figure 5's e2ebench scale (2), as e2ebench's [dynamo.engine] span
+   times it: scheme creation included.  The first pass is cold: static
+   pays the Wu-Larus estimate of each program there, which Freq caches
+   per program so that Figure 5's three delays share it.  The gate reads
+   the last pass, the engine itself; wall time is the best pass. *)
+let dynamo_bench ~smoke =
+  let scale = 2.0 and delay = 50 in
+  heading
+    (Printf.sprintf "Dynamo engine — Dynamo set at scale %g, delay %d%s" scale delay
+       (if smoke then " (smoke)" else ""));
+  let recordings = List.map (fun b -> Suite.record ~scale b) Suite.dynamo_set in
+  let instances =
+    List.fold_left (fun acc r -> acc + Recorder.num_instances r) 0 recordings
+  in
+  let per_inst words = words /. float_of_int instances in
+  let passes = if smoke then 2 else 4 in
+  let rows =
+    List.map
+      (fun scheme ->
+         let config =
+           Engine.config ~scheme:(Schemes.of_name_exn scheme)
+             ~scheme_costs:(Engine.costs_for ~scheme Cost_model.default)
+             ~delay ()
+         in
+         let measure () =
+           Gc.full_major ();
+           let w0 = Gc.minor_words () in
+           let t0 = Unix.gettimeofday () in
+           List.iter (fun r -> ignore (Engine.run config r : Engine.result)) recordings;
+           (Unix.gettimeofday () -. t0, Gc.minor_words () -. w0)
+         in
+         let passes = List.init passes (fun _ -> measure ()) in
+         let cold_words = snd (List.hd passes) in
+         let words = snd (List.nth passes (List.length passes - 1)) in
+         let wall = List.fold_left (fun m (w, _) -> Float.min m w) infinity passes in
+         Format.printf "  %-13s %8d instances  %.3e inst/s  %6.2f words/inst (cold %.2f)@."
+           scheme instances
+           (float_of_int instances /. wall)
+           (per_inst words) (per_inst cold_words);
+         (scheme, wall, words, cold_words))
+      [ "net"; "path-profile"; "net-k2"; "static" ]
+  in
+  if smoke then begin
+    let failed =
+      List.filter (fun (_, _, words, _) -> per_inst words > dynamo_words_ceiling) rows
+    in
+    Format.printf "  smoke gate (every scheme <= %.0f minor words/inst): %s@."
+      dynamo_words_ceiling
+      (if failed = [] then "PASS" else "FAIL");
+    if failed <> [] then exit 1
+  end
+  else begin
+    let oc = open_out bench_dynamo_file in
+    List.iter
+      (fun (scheme, wall_s, words, cold_words) ->
+         output_string oc
+           (bench_dynamo_line ~scheme ~delay ~scale ~instances ~wall_s ~words ~cold_words))
+      rows;
+    close_out oc;
+    Format.printf "  wrote %s@." bench_dynamo_file
+  end
+
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   (* Microbenchmarks run first: the reproductions cache hundreds of MB of
@@ -1056,5 +1150,13 @@ let () =
        allocation gate. *)
     let smoke = Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke" in
     record_bench ~smoke ~scale:1.0
+  end;
+  if mode = "dynamo" then begin
+    (* The Dynamo engine priced per Figure 5 scheme at e2ebench's Figure 5
+       scale either way.  Full mode times the best of three runs and
+       (re)writes BENCH_dynamo.json; --smoke runs once and is the CI
+       allocation gate. *)
+    let smoke = Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke" in
+    dynamo_bench ~smoke
   end;
   if mode = "all" || mode = "tables" then reproductions ()

@@ -117,22 +117,31 @@ type result = {
   r_cache_coverage_pct : float;
 }
 
-(* Instruction count of the common prefix of a fragment and an executed
-   path (the part that runs at fragment speed before the side exit). *)
-let prefix_instrs program (fr : Fragment_cache.fragment) (blocks : Cfg.block_id array)
-  =
-  let n = min (Array.length fr.Fragment_cache.fr_blocks) (Array.length blocks) in
-  let rec walk i acc =
-    if i >= n || fr.Fragment_cache.fr_blocks.(i) <> blocks.(i) then acc
-    else walk (i + 1) (acc + (Cfg.block program blocks.(i)).Cfg.weight)
-  in
-  walk 0 0
-
 (* Per-instance execution logic, shared by the offline replay (Engine.run)
    and the live driver (Online): given a completed path instance, decide
    where it executes, charge cycles, feed the prediction scheme, install
-   fragments, and apply the flush / bail-out policies. *)
+   fragments, and apply the flush / bail-out policies.  One instance costs
+   array reads and unboxed float adds: the cycle totals live in a
+   float-only record, and each path's profiling costs and instruction
+   prefix sums are memoized the first time it is seen. *)
 module Stepper = struct
+  (* A float-only record is stored flat, so its updates do not box. *)
+  type acc = {
+    mutable native : float;
+    mutable cyc_fragment : float;
+    mutable cyc_interp : float;
+    mutable cyc_profile : float;
+    mutable cyc_overhead : float;
+    mutable cyc_flush : float;
+    mutable cyc_native_tail : float;
+    mutable fragment_instrs : float;
+    mutable prebail_instrs : float;
+    mutable baseline : float;  (* flush heuristic; valid once [has_baseline] *)
+    mutable bail_prev_ovh : float;
+    mutable bail_prev_interp : float;
+    mutable bail_prev_native : float;
+  }
+
   type t = {
     cfg : config;
     program : Cfg.program;
@@ -147,31 +156,25 @@ module Stepper = struct
       int option;
     collect : n_blocks:int -> unit;
     cache : Fragment_cache.t;
-    predicted : (int, unit) Hashtbl.t;
+    acc : acc;
+    (* Per-path memos, by path id, grown as ids appear.  [prefix.(id)] holds
+       the path's instruction prefix sums ([prefix.(id).(k)] is the weight
+       of its first [k] blocks); [[||]] until the path is first seen, when
+       [profile] gets its three per-arrival costs (index [3 * id + code]). *)
+    mutable prefix : int array array;
+    mutable profile : Float.Array.t;
     mutable instances : int;
-    mutable native : float;
-    mutable cyc_fragment : float;
-    mutable cyc_interp : float;
-    mutable cyc_profile : float;
-    mutable cyc_overhead : float;
-    mutable cyc_flush : float;
-    mutable cyc_native_tail : float;
     mutable full_hits : int;
     mutable partial_hits : int;
     mutable misses : int;
     mutable native_tail : int;
     mutable bailed : bool;
-    mutable fragment_instrs : float;
-    mutable prebail_instrs : float;
     (* Flush heuristic. *)
     mutable window_preds : int;
-    mutable baseline : float option;
+    mutable has_baseline : bool;
     mutable windows_seen : int;
     (* Bail-out heuristic. *)
     mutable bail_streak : int;
-    mutable bail_prev_ovh : float;
-    mutable bail_prev_interp : float;
-    mutable bail_prev_native : float;
     (* Event sampling.  [ev_next] is [max_int] when the sink is null, so
        the disabled cost in [step] is one integer comparison. *)
     mutable ev_next : int;
@@ -179,7 +182,10 @@ module Stepper = struct
     mutable ev_last_upto : int;
   }
 
-  let create cfg ~program ~lookup =
+  (* [paths] presizes the per-path memos: a replay knows its table, the
+     online driver's grows (so the Online = Engine differential also
+     tests the growth). *)
+  let create_sized ~paths cfg ~program ~lookup =
     let (module S : Scheme.S) = cfg.scheme in
     let state = S.create ~delay:cfg.delay ~program in
     {
@@ -194,75 +200,121 @@ module Stepper = struct
       cache =
         Fragment_cache.create ~capacity:cfg.cache_capacity
           ~eviction:cfg.cache_eviction ();
-      predicted = Hashtbl.create 1024;
+      acc =
+        {
+          native = 0.0;
+          cyc_fragment = 0.0;
+          cyc_interp = 0.0;
+          cyc_profile = 0.0;
+          cyc_overhead = 0.0;
+          cyc_flush = 0.0;
+          cyc_native_tail = 0.0;
+          fragment_instrs = 0.0;
+          prebail_instrs = 0.0;
+          baseline = 0.0;
+          bail_prev_ovh = 0.0;
+          bail_prev_interp = 0.0;
+          bail_prev_native = 0.0;
+        };
+      prefix = Array.make paths [||];
+      profile = Float.Array.make (3 * paths) 0.0;
       instances = 0;
-      native = 0.0;
-      cyc_fragment = 0.0;
-      cyc_interp = 0.0;
-      cyc_profile = 0.0;
-      cyc_overhead = 0.0;
-      cyc_flush = 0.0;
-      cyc_native_tail = 0.0;
       full_hits = 0;
       partial_hits = 0;
       misses = 0;
       native_tail = 0;
       bailed = false;
-      fragment_instrs = 0.0;
-      prebail_instrs = 0.0;
       window_preds = 0;
-      baseline = None;
+      has_baseline = false;
       windows_seen = 0;
       bail_streak = 0;
-      bail_prev_ovh = 0.0;
-      bail_prev_interp = 0.0;
-      bail_prev_native = 0.0;
       ev_next = (if Events.is_null cfg.events then max_int else cfg.events_window);
       ev_seq = 0;
       ev_last_upto = 0;
     }
 
+  let create cfg ~program ~lookup = create_sized ~paths:0 cfg ~program ~lookup
+
+  let arrival_code = function
+    | Path.Loop_head -> 0
+    | Path.Entry -> 1
+    | Path.Continuation -> 2
+
+  (* First sight of a path: grow the memo arrays to cover its id, then
+     fill its prefix sums and its profiling cost for each arrival. *)
+  let learn st (p : Path.t) =
+    let pid = p.Path.id in
+    let len = Array.length st.prefix in
+    if pid >= len then begin
+      let n = max (pid + 1) (max 256 (2 * len)) in
+      let prefix = Array.make n [||] in
+      Array.blit st.prefix 0 prefix 0 len;
+      st.prefix <- prefix;
+      let profile = Float.Array.make (3 * n) 0.0 in
+      Float.Array.blit st.profile 0 profile 0 (3 * len);
+      st.profile <- profile
+    end;
+    let blocks = p.Path.blocks in
+    let sums = Array.make (Array.length blocks + 1) 0 in
+    Array.iteri
+      (fun i b -> sums.(i + 1) <- sums.(i) + (Cfg.block st.program b).Cfg.weight)
+      blocks;
+    st.prefix.(pid) <- sums;
+    List.iter
+      (fun arrival ->
+         Float.Array.set st.profile
+           ((3 * pid) + arrival_code arrival)
+           (st.cfg.scheme_costs.per_instance ~n_branches:p.Path.n_branches ~arrival))
+      [ Path.Loop_head; Path.Entry; Path.Continuation ]
+
   let emit_window st =
+    let a = st.acc in
     Events.dynamo_window st.cfg.events ~scheme:st.scheme_name
       ~delay:st.cfg.delay ~seq:st.ev_seq ~upto:st.instances
       ~full_hits:st.full_hits ~partial_hits:st.partial_hits ~misses:st.misses
       ~fragments:(Fragment_cache.inserted_total st.cache)
       ~flushes:(Fragment_cache.flush_count st.cache)
-      ~cycles_fragment:st.cyc_fragment ~cycles_interp:st.cyc_interp
-      ~cycles_profile:st.cyc_profile ~cycles_overhead:st.cyc_overhead
-      ~cycles_flush:st.cyc_flush ~cycles_native:st.native;
+      ~cycles_fragment:a.cyc_fragment ~cycles_interp:a.cyc_interp
+      ~cycles_profile:a.cyc_profile ~cycles_overhead:a.cyc_overhead
+      ~cycles_flush:a.cyc_flush ~cycles_native:a.native;
     st.ev_seq <- st.ev_seq + 1;
     st.ev_last_upto <- st.instances
 
   let do_flush st ~reason ~window_preds ~baseline =
+    let a = st.acc in
     Fragment_cache.flush st.cache;
-    Hashtbl.reset st.predicted;
-    st.cyc_flush <- st.cyc_flush +. st.cfg.cost.Cost_model.flush_cycles;
+    a.cyc_flush <- a.cyc_flush +. st.cfg.cost.Cost_model.flush_cycles;
     Events.dynamo_flush st.cfg.events ~at:st.instances ~reason ~window_preds
       ~baseline ~flushes:(Fragment_cache.flush_count st.cache)
-      ~cycles_flush:st.cyc_flush
+      ~cycles_flush:a.cyc_flush
 
   let window_boundary st fp =
+    let a = st.acc in
     let count = st.window_preds in
     st.window_preds <- 0;
     st.windows_seen <- st.windows_seen + 1;
     (* The very first window is the startup burst (everything hot is being
        predicted); it would poison the baseline, so it is skipped. *)
     if st.windows_seen > 1 then
-      match st.baseline with
-      | None -> st.baseline <- Some (float_of_int count)
-      | Some b ->
+      if not st.has_baseline then begin
+        st.has_baseline <- true;
+        a.baseline <- float_of_int count
+      end
+      else begin
+        let b = a.baseline in
         if count >= fp.fp_min && float_of_int count > fp.fp_factor *. (b +. 1.0) then
           do_flush st ~reason:"spike" ~window_preds:count ~baseline:b;
-        st.baseline <- Some ((0.7 *. b) +. (0.3 *. float_of_int count))
+        a.baseline <- (0.7 *. b) +. (0.3 *. float_of_int count)
+      end
 
   let bail_boundary st bp =
-    let ovh_delta = st.cyc_overhead -. st.bail_prev_ovh
-    and interp_delta = st.cyc_interp -. st.bail_prev_interp
-    and native_delta = st.native -. st.bail_prev_native in
-    st.bail_prev_ovh <- st.cyc_overhead;
-    st.bail_prev_interp <- st.cyc_interp;
-    st.bail_prev_native <- st.native;
+    let a = st.acc in
+    let ovh_delta = a.cyc_overhead -. a.bail_prev_ovh
+    and interp_delta = a.cyc_interp -. a.bail_prev_interp
+    and native_delta = a.native -. a.bail_prev_native in
+    a.bail_prev_ovh <- a.cyc_overhead;
+    a.bail_prev_interp <- a.cyc_interp;
+    a.bail_prev_native <- a.native;
     (* Excessive trace formation, or interpretation that keeps dominating
        (the working set never materializes in the cache). *)
     if
@@ -277,99 +329,90 @@ module Stepper = struct
         ~overhead_delta:ovh_delta ~interp_delta ~native_delta
     end
 
-  let install st target_path =
-    let p = st.lookup target_path in
-    Hashtbl.replace st.predicted target_path ();
-    let fr = Fragment_cache.fragment_of_path p in
+  (* Install a fragment for the predicted path [tp], which has none. *)
+  let install st (tp : Path.t) =
+    let fr = Fragment_cache.fragment_of_path tp in
     (match Fragment_cache.insert st.cache fr with
-     | `Inserted | `Duplicate -> ()
-     | `Evicted victim ->
-       (* LRU made room; the victim's path must be re-predictable. *)
-       Hashtbl.remove st.predicted victim.Fragment_cache.fr_path
+     | `Inserted | `Duplicate | `Evicted _ -> ()
      | `Full ->
        (* Cache pressure under the reject policy: flush and retry, as
           Dynamo does. *)
        do_flush st ~reason:"pressure" ~window_preds:st.window_preds
          ~baseline:0.0;
-       Hashtbl.replace st.predicted target_path ();
        (match Fragment_cache.insert st.cache fr with
         | `Inserted | `Duplicate -> ()
         | `Evicted _ | `Full -> assert false));
-    Events.dynamo_install st.cfg.events ~at:st.instances ~path:target_path
-      ~blocks:(Array.length p.Path.blocks) ~instrs:p.Path.n_instrs
+    Events.dynamo_install st.cfg.events ~at:st.instances ~path:tp.Path.id
+      ~blocks:(Array.length tp.Path.blocks) ~instrs:tp.Path.n_instrs
       ~fragments:(Fragment_cache.inserted_total st.cache)
 
   let step st ~path:(p : Path.t) ~arrival =
-    let c = st.cfg.cost in
+    let c = st.cfg.cost and a = st.acc in
     let pid = p.Path.id in
     let instrs = float_of_int p.Path.n_instrs in
     st.instances <- st.instances + 1;
-    st.native <- st.native +. (instrs *. c.Cost_model.native_cycles_per_instr);
+    a.native <- a.native +. (instrs *. c.Cost_model.native_cycles_per_instr);
     if st.bailed then begin
       st.native_tail <- st.native_tail + 1;
-      st.cyc_native_tail <-
-        st.cyc_native_tail +. (instrs *. c.Cost_model.native_cycles_per_instr)
+      a.cyc_native_tail <-
+        a.cyc_native_tail +. (instrs *. c.Cost_model.native_cycles_per_instr)
     end
     else begin
-      st.prebail_instrs <- st.prebail_instrs +. instrs;
-      if Hashtbl.mem st.predicted pid && Option.is_some (Fragment_cache.find_path st.cache pid)
-      then begin
+      a.prebail_instrs <- a.prebail_instrs +. instrs;
+      if Fragment_cache.mem st.cache pid then begin
+        Fragment_cache.touch st.cache pid;
         st.full_hits <- st.full_hits + 1;
-        st.fragment_instrs <- st.fragment_instrs +. instrs;
-        st.cyc_fragment <-
-          st.cyc_fragment
+        a.fragment_instrs <- a.fragment_instrs +. instrs;
+        a.cyc_fragment <-
+          a.cyc_fragment
           +. c.Cost_model.fragment_link_cycles
           +. (instrs *. c.Cost_model.fragment_cycles_per_instr)
       end
       else begin
         (* Miss or partial hit: execution enters the cache at the head and
            follows linked fragments while blocks match; the remainder is
-           interpreted and the instance is observed by the scheme. *)
-        (match Fragment_cache.find_head st.cache (Path.head p) with
-         | _ :: _ as candidates ->
-           let matched =
-             float_of_int
-               (List.fold_left
-                  (fun best fr -> max best (prefix_instrs st.program fr p.Path.blocks))
-                  0 candidates)
-           in
-           if matched > 0.0 then begin
-             st.partial_hits <- st.partial_hits + 1;
-             st.fragment_instrs <- st.fragment_instrs +. matched;
-             st.cyc_fragment <-
-               st.cyc_fragment
-               +. c.Cost_model.fragment_link_cycles
-               +. (matched *. c.Cost_model.fragment_cycles_per_instr);
-             st.cyc_interp <-
-               st.cyc_interp
-               +. ((instrs -. matched) *. c.Cost_model.interp_cycles_per_instr)
-           end
-           else begin
-             st.misses <- st.misses + 1;
-             st.cyc_interp <-
-               st.cyc_interp +. (instrs *. c.Cost_model.interp_cycles_per_instr)
-           end
-         | [] ->
-           st.misses <- st.misses + 1;
-           st.cyc_interp <-
-             st.cyc_interp +. (instrs *. c.Cost_model.interp_cycles_per_instr));
-        st.cyc_profile <-
-          st.cyc_profile
-          +. st.cfg.scheme_costs.per_instance ~n_branches:p.Path.n_branches ~arrival;
+           interpreted and the instance is observed by the scheme.  Matched
+           blocks are the executed path's own, so its prefix sums price
+           the longest match. *)
+        if pid >= Array.length st.prefix || Array.length st.prefix.(pid) = 0 then
+          learn st p;
+        let matched =
+          float_of_int
+            st.prefix.(pid).(Fragment_cache.longest_prefix st.cache p.Path.blocks)
+        in
+        if matched > 0.0 then begin
+          st.partial_hits <- st.partial_hits + 1;
+          a.fragment_instrs <- a.fragment_instrs +. matched;
+          a.cyc_fragment <-
+            a.cyc_fragment
+            +. c.Cost_model.fragment_link_cycles
+            +. (matched *. c.Cost_model.fragment_cycles_per_instr);
+          a.cyc_interp <-
+            a.cyc_interp
+            +. ((instrs -. matched) *. c.Cost_model.interp_cycles_per_instr)
+        end
+        else begin
+          st.misses <- st.misses + 1;
+          a.cyc_interp <-
+            a.cyc_interp +. (instrs *. c.Cost_model.interp_cycles_per_instr)
+        end;
+        a.cyc_profile <-
+          a.cyc_profile
+          +. Float.Array.get st.profile ((3 * pid) + arrival_code arrival);
         match
           st.observe ~head:(Path.head p) ~arrival ~path_id:pid
             ~n_branches:p.Path.n_branches
             ~n_blocks:(Array.length p.Path.blocks)
         with
-        | Some target when not (Hashtbl.mem st.predicted target) ->
+        | Some target when not (Fragment_cache.mem st.cache target) ->
           let tp = st.lookup target in
           st.collect ~n_blocks:(Array.length tp.Path.blocks);
-          st.cyc_overhead <-
-            st.cyc_overhead
+          a.cyc_overhead <-
+            a.cyc_overhead
             +. st.cfg.scheme_costs.per_prediction
                  ~n_blocks:(Array.length tp.Path.blocks)
                  ~n_instrs:tp.Path.n_instrs;
-          install st target;
+          install st tp;
           st.window_preds <- st.window_preds + 1
         | Some _ | None -> ()
       end
@@ -387,6 +430,7 @@ module Stepper = struct
     | Some _ | None -> ()
 
   let finalize st =
+    let a = st.acc in
     (* The last (possibly short) window always gets a sample, so a
        consumer summing the final event matches the result record. *)
     if
@@ -394,16 +438,16 @@ module Stepper = struct
       && (st.ev_last_upto < st.instances || st.ev_seq = 0)
     then emit_window st;
     let dynamo =
-      st.cyc_fragment +. st.cyc_interp +. st.cyc_profile +. st.cyc_overhead
-      +. st.cyc_flush +. st.cyc_native_tail
+      a.cyc_fragment +. a.cyc_interp +. a.cyc_profile +. a.cyc_overhead
+      +. a.cyc_flush +. a.cyc_native_tail
     in
     {
       r_scheme = st.scheme_name;
       r_delay = st.cfg.delay;
-      r_native_cycles = st.native;
+      r_native_cycles = a.native;
       r_dynamo_cycles = dynamo;
       r_speedup_pct =
-        (if dynamo > 0.0 then ((st.native /. dynamo) -. 1.0) *. 100.0 else 0.0);
+        (if dynamo > 0.0 then ((a.native /. dynamo) -. 1.0) *. 100.0 else 0.0);
       r_bailed = st.bailed;
       r_fragments = Fragment_cache.inserted_total st.cache;
       r_flushes = Fragment_cache.flush_count st.cache;
@@ -411,19 +455,22 @@ module Stepper = struct
       r_partial_hits = st.partial_hits;
       r_misses = st.misses;
       r_native_tail = st.native_tail;
-      r_cycles_fragment = st.cyc_fragment;
-      r_cycles_interp = st.cyc_interp;
-      r_cycles_profile = st.cyc_profile;
-      r_cycles_overhead = st.cyc_overhead;
-      r_cycles_flush = st.cyc_flush;
+      r_cycles_fragment = a.cyc_fragment;
+      r_cycles_interp = a.cyc_interp;
+      r_cycles_profile = a.cyc_profile;
+      r_cycles_overhead = a.cyc_overhead;
+      r_cycles_flush = a.cyc_flush;
       r_cache_coverage_pct =
-        Hotpath_util.Stats.pct st.fragment_instrs st.prebail_instrs;
+        Hotpath_util.Stats.pct a.fragment_instrs a.prebail_instrs;
     }
 end
 
 let run cfg (r : Recorder.t) =
   let paths = Path_table.paths r.Recorder.table in
-  let st = Stepper.create cfg ~program:r.Recorder.program ~lookup:(fun id -> paths.(id)) in
+  let st =
+    Stepper.create_sized ~paths:(Array.length paths) cfg ~program:r.Recorder.program
+      ~lookup:(fun id -> paths.(id))
+  in
   let instances = r.Recorder.instances in
   for i = 0 to Array.length instances - 1 do
     Stepper.step st ~path:paths.(instances.(i)) ~arrival:(Recorder.arrival r i)

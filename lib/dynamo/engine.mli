@@ -18,7 +18,16 @@
     (the phase heuristic of Section 6.1); a full cache flushes too.  When
     fragment creation exceeds the bail-out threshold, Dynamo gives up and
     the rest of the run executes natively, as the paper describes for gcc
-    and go. *)
+    and go.
+
+    The stepper is allocation-free per instance: its cycle and
+    instruction totals live in a float-only record, the fragment cache is
+    indexed by path id ({!Fragment_cache.mem}, {!Fragment_cache.touch},
+    {!Fragment_cache.longest_prefix}), and each path's profiling cost per
+    arrival and its instruction prefix sums are memoized the first time
+    the path is seen.  A partial hit compares blocks and reads one prefix
+    sum.  Every sum keeps its operand order, so results are bit-identical
+    to a plain per-instance evaluation. *)
 
 module Scheme = Hotpath_prediction.Scheme
 module Recorder = Hotpath_trace.Recorder
@@ -26,7 +35,10 @@ module Path = Hotpath_trace.Path
 
 type scheme_costs = {
   per_instance : n_branches:int -> arrival:Path.head_kind -> float;
-      (** Recurring profiling cycles for one observed instance. *)
+      (** Recurring profiling cycles for one observed instance.  Must be a
+          pure function: the engine calls it for each of a path's three
+          arrival kinds when it first observes the path, and memoizes the
+          results. *)
   per_prediction : n_blocks:int -> n_instrs:int -> float;
       (** One-time cycles to materialize a prediction (collection +
           optimization). *)

@@ -94,6 +94,86 @@ let test_cache_lru_eviction () =
   Alcotest.(check (list int)) "head list updated" []
     (List.map (fun f -> f.Fragment_cache.fr_path) (Fragment_cache.find_head c 2))
 
+let paths_at c head = List.map (fun f -> f.Fragment_cache.fr_path) (Fragment_cache.find_head c head)
+
+let test_cache_evict_middle_of_chain () =
+  (* Three fragments at head 5, newest first 3, 2, 1.  Touch 1 and 3, so
+     the LRU victim is 2, in the middle of the chain. *)
+  let c = Fragment_cache.create ~capacity:3 ~eviction:Fragment_cache.Evict_lru () in
+  List.iter
+    (fun (path, tail) ->
+       ignore (Fragment_cache.insert c (mk_fragment ~path ~head:5 ~blocks:[| 5; tail |])))
+    [ (1, 6); (2, 7); (3, 8) ];
+  Fragment_cache.touch c 1;
+  Fragment_cache.touch c 3;
+  (match Fragment_cache.insert c (mk_fragment ~path:4 ~head:9 ~blocks:[| 9 |]) with
+   | `Evicted victim -> Alcotest.(check int) "victim is the middle of the chain" 2
+                          victim.Fragment_cache.fr_path
+   | _ -> Alcotest.fail "expected eviction");
+  Alcotest.(check (list int)) "chain keeps its order around the hole" [ 3; 1 ]
+    (paths_at c 5);
+  Alcotest.(check bool) "2 gone" false (Fragment_cache.mem c 2);
+  (* A new fragment at the head goes in front of the survivors. *)
+  ignore (Fragment_cache.insert c (mk_fragment ~path:2 ~head:5 ~blocks:[| 5; 7 |]));
+  Alcotest.(check (list int)) "reinserted newest first" [ 2; 3; 1 ] (paths_at c 5)
+
+let test_cache_find_head_after_flush () =
+  let c = Fragment_cache.create ~capacity:8 () in
+  List.iter
+    (fun path -> ignore (Fragment_cache.insert c (mk_fragment ~path ~head:1 ~blocks:[| 1; path |])))
+    [ 10; 11; 12 ];
+  Alcotest.(check (list int)) "newest first" [ 12; 11; 10 ] (paths_at c 1);
+  Fragment_cache.flush c;
+  Alcotest.(check (list int)) "empty after flush" [] (paths_at c 1);
+  Alcotest.(check bool) "nothing resident" false
+    (List.exists (Fragment_cache.mem c) [ 10; 11; 12 ]);
+  Alcotest.(check int) "no prefix after flush" 0
+    (Fragment_cache.longest_prefix c [| 1; 11 |]);
+  List.iter
+    (fun path -> ignore (Fragment_cache.insert c (mk_fragment ~path ~head:1 ~blocks:[| 1; path |])))
+    [ 11; 10 ];
+  Alcotest.(check (list int)) "rebuilt chain" [ 10; 11 ] (paths_at c 1)
+
+let test_cache_large_ids () =
+  (* Ids far past the initial tables, interleaved with small ones. *)
+  let c = Fragment_cache.create ~capacity:4 ~eviction:Fragment_cache.Evict_lru () in
+  let big = 100_000 and head = 70_000 in
+  ignore (Fragment_cache.insert c (mk_fragment ~path:3 ~head ~blocks:[| head; 1 |]));
+  ignore (Fragment_cache.insert c (mk_fragment ~path:big ~head ~blocks:[| head; 2; 3 |]));
+  ignore (Fragment_cache.insert c (mk_fragment ~path:(big + 1) ~head:2 ~blocks:[| 2 |]));
+  Alcotest.(check bool) "big id resident" true (Fragment_cache.mem c big);
+  Alcotest.(check bool) "ids past the tables are absent" false
+    (Fragment_cache.mem c (10 * big));
+  Alcotest.(check (list int)) "big head chain" [ big; 3 ] (paths_at c head);
+  Alcotest.(check (list int)) "head past the tables" [] (paths_at c (10 * head));
+  Alcotest.(check int) "longest prefix at a big head" 3
+    (Fragment_cache.longest_prefix c [| head; 2; 3; 4 |]);
+  Alcotest.(check bool) "find_path" true
+    (match Fragment_cache.find_path c (big + 1) with
+     | Some f -> f.Fragment_cache.fr_head = 2
+     | None -> false)
+
+let test_cache_lru_after_prefix_probe () =
+  (* Path 1 at head 1 is the oldest; a partial-hit probe at head 1 touches
+     it, so the victim becomes 2 (head 2), not 1. *)
+  let c = Fragment_cache.create ~capacity:3 ~eviction:Fragment_cache.Evict_lru () in
+  ignore (Fragment_cache.insert c (mk_fragment ~path:1 ~head:1 ~blocks:[| 1; 2; 3 |]));
+  ignore (Fragment_cache.insert c (mk_fragment ~path:2 ~head:2 ~blocks:[| 2 |]));
+  ignore (Fragment_cache.insert c (mk_fragment ~path:3 ~head:1 ~blocks:[| 1; 4 |]));
+  Alcotest.(check int) "shared prefix of two blocks" 2
+    (Fragment_cache.longest_prefix c [| 1; 2; 5 |]);
+  (match Fragment_cache.insert c (mk_fragment ~path:4 ~head:4 ~blocks:[| 4 |]) with
+   | `Evicted victim ->
+     Alcotest.(check int) "probe refreshed head 1's chain" 2 victim.Fragment_cache.fr_path
+   | _ -> Alcotest.fail "expected eviction");
+  (* The probe touched 3 then 1 (newest first), so 3 is now the oldest. *)
+  (match Fragment_cache.insert c (mk_fragment ~path:5 ~head:5 ~blocks:[| 5 |]) with
+   | `Evicted victim ->
+     Alcotest.(check int) "newest-first touch order" 3 victim.Fragment_cache.fr_path
+   | _ -> Alcotest.fail "expected eviction");
+  Alcotest.(check int) "no fragment at the head" 0
+    (Fragment_cache.longest_prefix c [| 7; 1 |])
+
 let test_cache_lru_under_engine () =
   (* Tight cache: LRU must not flush, and coverage must be at least the
      flush policy's. *)
@@ -354,6 +434,12 @@ let suites =
         Alcotest.test_case "insert/find" `Quick test_cache_insert_find;
         Alcotest.test_case "capacity/flush" `Quick test_cache_capacity_and_flush;
         Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
+        Alcotest.test_case "evict from the middle of a chain" `Quick
+          test_cache_evict_middle_of_chain;
+        Alcotest.test_case "find_head after a flush" `Quick test_cache_find_head_after_flush;
+        Alcotest.test_case "ids past the initial tables" `Quick test_cache_large_ids;
+        Alcotest.test_case "LRU victim after a prefix probe" `Quick
+          test_cache_lru_after_prefix_probe;
         Alcotest.test_case "LRU under engine" `Quick test_cache_lru_under_engine;
         Alcotest.test_case "policy ablation rows" `Quick test_cache_policy_ablation_rows;
         Alcotest.test_case "invalid capacity" `Quick test_cache_invalid_capacity;

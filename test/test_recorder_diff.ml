@@ -4,7 +4,9 @@
    statistics on hand-built programs, generated workloads, the nine
    benchmarks, Figure 1, the phased demo, and every budget cut point.
    The live Dynamo driver, which runs the same VM -> segmenter -> intern
-   loop, must equal the engine replaying each recording.  The Decider's
+   loop, must equal the engine replaying each recording, under all four
+   Figure 5 cost families and under a small LRU cache (the stepper's
+   per-path arrays grow behind the online path table).  The Decider's
    precomputed draws are pinned to Prng's one-shot ones. *)
 
 module Cfg = Hotpath_cfg.Cfg
@@ -21,10 +23,22 @@ module Net = Hotpath_prediction.Net
 module Scheme = Hotpath_prediction.Scheme
 module Prng = Hotpath_util.Prng
 
-let net_config =
-  Engine.config ~cost:Cost_model.default
-    ~scheme:(module Net : Scheme.S)
-    ~scheme_costs:(Engine.net_costs Cost_model.default) ~delay:10 ()
+let engine_config ?cache_capacity ?cache_eviction name scheme =
+  Engine.config ~cost:Cost_model.default ?cache_capacity ?cache_eviction ~scheme
+    ~scheme_costs:(Engine.costs_for ~scheme:name Cost_model.default) ~delay:10 ()
+
+(* Figure 5's schemes, each with its cost family, and NET with a cache
+   small enough to evict. *)
+let engine_configs =
+  [
+    ("net", engine_config "net" (module Net : Scheme.S));
+    ("path-profile", engine_config "path-profile" (module Hotpath_prediction.Path_profile));
+    ("net-k2", engine_config "net-k2" (Hotpath_prediction.Net_k.make 2));
+    ("static", engine_config "static" (module Hotpath_prediction.Static));
+    ( "net lru 4",
+      engine_config ~cache_capacity:4 ~cache_eviction:Hotpath_dynamo.Fragment_cache.Evict_lru
+        "net" (module Net) );
+  ]
 
 (* The library recording must equal the reference's; the online driver
    must equal the engine over that recording. *)
@@ -36,16 +50,19 @@ let check_case ?max_steps ?max_paths name program behavior ~seed =
   (match Ref_recorder.diff r reference with
    | None -> ()
    | Some d -> Alcotest.failf "%s: recorder differs from the reference: %s" name d);
-  let online =
-    Online.run ?max_steps ?max_paths ~config:net_config program behavior
-      ~rng:(Prng.create ~seed)
-  in
-  Alcotest.(check int) (name ^ ": online instances") (Recorder.num_instances r)
-    online.Online.o_instances;
-  Alcotest.(check int) (name ^ ": online paths") (Recorder.num_paths r)
-    online.Online.o_paths;
-  Alcotest.(check bool) (name ^ ": online result = engine over the recording") true
-    (compare online.Online.o_result (Engine.run net_config r) = 0)
+  List.iter
+    (fun (label, config) ->
+       let online =
+         Online.run ?max_steps ?max_paths ~config program behavior ~rng:(Prng.create ~seed)
+       in
+       let name = Printf.sprintf "%s (%s)" name label in
+       Alcotest.(check int) (name ^ ": online instances") (Recorder.num_instances r)
+         online.Online.o_instances;
+       Alcotest.(check int) (name ^ ": online paths") (Recorder.num_paths r)
+         online.Online.o_paths;
+       Alcotest.(check bool) (name ^ ": online result = engine over the recording") true
+         (compare online.Online.o_result (Engine.run config r) = 0))
+    engine_configs
 
 (* ------------------------------------------------------------------ *)
 (* Hand-built programs                                                 *)
