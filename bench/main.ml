@@ -1002,10 +1002,10 @@ let bench_dynamo_file = "BENCH_dynamo.json"
    is exact: the count is a pure function of the code and the seeds.  A
    path instance itself allocates nothing; what is left is per path
    (memos, installed fragments) and per run (the scheme's state, and
-   static's program-wide estimate). *)
+   static's program-wide estimate, which every run pays). *)
 let dynamo_words_ceiling = 2.0
 
-let bench_dynamo_line ~scheme ~delay ~scale ~instances ~wall_s ~words ~cold_words =
+let bench_dynamo_line ~scheme ~delay ~scale ~instances ~wall_s ~words =
   let buf = Buffer.create 256 in
   Events.emit (Events.of_buffer buf) ~kind:"bench_dynamo"
     [
@@ -1016,16 +1016,14 @@ let bench_dynamo_line ~scheme ~delay ~scale ~instances ~wall_s ~words ~cold_word
       ("wall_s", Events.Float wall_s);
       ("instances_per_s", Events.Float (float_of_int instances /. wall_s));
       ("minor_words_per_inst", Events.Float (words /. float_of_int instances));
-      ("cold_minor_words_per_inst", Events.Float (cold_words /. float_of_int instances));
     ];
   Buffer.contents buf
 
 (* [Engine.run] at delay 50 over the five Dynamo-set recordings at
    Figure 5's e2ebench scale (2), as e2ebench's [dynamo.engine] span
-   times it: scheme creation included.  The first pass is cold: static
-   pays the Wu-Larus estimate of each program there, which Freq caches
-   per program so that Figure 5's three delays share it.  The gate reads
-   the last pass, the engine itself; wall time is the best pass. *)
+   times it: scheme creation included, so static pays the Wu-Larus
+   estimate of each program on every pass.  The gate reads every pass
+   (allocation is the same on each); wall time is the best pass. *)
 let dynamo_bench ~smoke =
   let scale = 2.0 and delay = 50 in
   heading
@@ -1053,19 +1051,18 @@ let dynamo_bench ~smoke =
            (Unix.gettimeofday () -. t0, Gc.minor_words () -. w0)
          in
          let passes = List.init passes (fun _ -> measure ()) in
-         let cold_words = snd (List.hd passes) in
-         let words = snd (List.nth passes (List.length passes - 1)) in
+         let words = List.fold_left (fun m (_, w) -> Float.max m w) 0.0 passes in
          let wall = List.fold_left (fun m (w, _) -> Float.min m w) infinity passes in
-         Format.printf "  %-13s %8d instances  %.3e inst/s  %6.2f words/inst (cold %.2f)@."
-           scheme instances
+         Format.printf "  %-13s %8d instances  %.3e inst/s  %6.2f words/inst@." scheme
+           instances
            (float_of_int instances /. wall)
-           (per_inst words) (per_inst cold_words);
-         (scheme, wall, words, cold_words))
+           (per_inst words);
+         (scheme, wall, words))
       [ "net"; "path-profile"; "net-k2"; "static" ]
   in
   if smoke then begin
     let failed =
-      List.filter (fun (_, _, words, _) -> per_inst words > dynamo_words_ceiling) rows
+      List.filter (fun (_, _, words) -> per_inst words > dynamo_words_ceiling) rows
     in
     Format.printf "  smoke gate (every scheme <= %.0f minor words/inst): %s@."
       dynamo_words_ceiling
@@ -1075,9 +1072,8 @@ let dynamo_bench ~smoke =
   else begin
     let oc = open_out bench_dynamo_file in
     List.iter
-      (fun (scheme, wall_s, words, cold_words) ->
-         output_string oc
-           (bench_dynamo_line ~scheme ~delay ~scale ~instances ~wall_s ~words ~cold_words))
+      (fun (scheme, wall_s, words) ->
+         output_string oc (bench_dynamo_line ~scheme ~delay ~scale ~instances ~wall_s ~words))
       rows;
     close_out oc;
     Format.printf "  wrote %s@." bench_dynamo_file

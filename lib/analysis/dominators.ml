@@ -1,23 +1,27 @@
 type t = {
   graph : Procgraph.t;
   idom : int array;  (* local -> local; entry maps to itself; -1 unreachable *)
+  pre : int array;  (* dominator-tree preorder number; -1 unreachable *)
+  size : int array;  (* dominator-subtree size *)
 }
 
 let compute g =
   let n = Procgraph.size g in
   let visited = Array.make n false in
   let postnum = Array.make n (-1) in
+  let rpo = Array.make n 0 in
   let counter = ref 0 in
-  let rpo = ref [] in
   let rec dfs i =
     visited.(i) <- true;
     Array.iter (fun j -> if not visited.(j) then dfs j) (Procgraph.succ g i);
     postnum.(i) <- !counter;
-    incr counter;
-    rpo := i :: !rpo
+    incr counter
   in
   if n > 0 then dfs 0;
-  let rpo = !rpo in
+  let reached = !counter in
+  for i = 0 to n - 1 do
+    if postnum.(i) >= 0 then rpo.(reached - 1 - postnum.(i)) <- i
+  done;
   let idom = Array.make n (-1) in
   if n > 0 then idom.(0) <- 0;
   let intersect b1 b2 =
@@ -35,24 +39,45 @@ let compute g =
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun b ->
-         if b <> 0 then begin
-           let new_idom = ref (-1) in
-           Array.iter
-             (fun p ->
-                if idom.(p) <> -1 then
-                  if !new_idom = -1 then new_idom := p
-                  else new_idom := intersect p !new_idom)
-             (Procgraph.pred g b);
-           if !new_idom <> -1 && idom.(b) <> !new_idom then begin
-             idom.(b) <- !new_idom;
-             changed := true
-           end
-         end)
-      rpo
+    for r = 1 to reached - 1 do
+      let b = rpo.(r) in
+      let preds = Procgraph.pred g b in
+      let new_idom = ref (-1) in
+      for k = 0 to Array.length preds - 1 do
+        let p = preds.(k) in
+        if idom.(p) <> -1 then
+          if !new_idom = -1 then new_idom := p
+          else new_idom := intersect p !new_idom
+      done;
+      if !new_idom <> -1 && idom.(b) <> !new_idom then begin
+        idom.(b) <- !new_idom;
+        changed := true
+      end
+    done
   done;
-  { graph = g; idom }
+  (* Dominator-tree intervals: an idom precedes its children in reverse
+     post-order, so one backward sweep sums subtree sizes and one
+     forward sweep hands each child the next free preorder slot of its
+     parent.  [a] dominates [b] iff [pre b] falls in [a]'s interval. *)
+  let size = Array.make n 1 in
+  for r = reached - 1 downto 1 do
+    let b = rpo.(r) in
+    size.(idom.(b)) <- size.(idom.(b)) + size.(b)
+  done;
+  let pre = Array.make n (-1) in
+  let next = Array.make n 0 in
+  if reached > 0 then begin
+    pre.(0) <- 0;
+    next.(0) <- 1
+  end;
+  for r = 1 to reached - 1 do
+    let b = rpo.(r) in
+    let d = idom.(b) in
+    pre.(b) <- next.(d);
+    next.(d) <- next.(d) + size.(b);
+    next.(b) <- pre.(b) + 1
+  done;
+  { graph = g; idom; pre; size }
 
 let graph t = t.graph
 
@@ -64,16 +89,4 @@ let idom t g =
 
 let dominates t ga gb =
   let a = Procgraph.local t.graph ga and b = Procgraph.local t.graph gb in
-  if t.idom.(a) = -1 || t.idom.(b) = -1 then false
-  else begin
-    let x = ref b and result = ref false and continue = ref true in
-    while !continue do
-      if !x = a then begin
-        result := true;
-        continue := false
-      end
-      else if !x = 0 then continue := false
-      else x := t.idom.(!x)
-    done;
-    !result
-  end
+  t.pre.(a) >= 0 && t.pre.(b) >= t.pre.(a) && t.pre.(b) < t.pre.(a) + t.size.(a)

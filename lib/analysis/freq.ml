@@ -12,8 +12,10 @@ let sweep_epsilon = 1e-10
 
 type proc_freq = {
   g : Procgraph.t;
+  loops : Loops.t;
   bfreq : float array;  (* local index -> executions per invocation *)
-  efreq : float array array;  (* aligned with [Procgraph.succ] *)
+  off : int array;  (* edges of local [u]: [off.(u)] .. [off.(u + 1) - 1] *)
+  efreq : float array;  (* per edge, aligned with [Procgraph.succ] *)
   cp : float array;  (* capped cyclic probability; 0 for non-heads *)
   is_head : bool array;
   capped : bool array;
@@ -24,21 +26,29 @@ let local_exn g b = Procgraph.local g b
 
 let block_freq t b = t.bfreq.(local_exn t.g b)
 
-let succ_index t u gdst =
-  let su = Procgraph.succ t.g u in
+(* Edge id of local [u]'s successor [dst] (a local index); -1 when
+   there is no such edge. *)
+let edge_id g off u ~dst =
+  let su = Procgraph.succ g u in
   let rec find i =
-    if i >= Array.length su then
-      invalid_arg
-        (Printf.sprintf "Freq.edge_freq: %d -> %d is not an edge"
-           (Procgraph.global t.g u) gdst)
-    else if Procgraph.global t.g su.(i) = gdst then i
+    if i >= Array.length su then -1
+    else if su.(i) = dst then off.(u) + i
     else find (i + 1)
   in
   find 0
 
 let edge_freq t ~src ~dst =
   let u = local_exn t.g src in
-  t.efreq.(u).(succ_index t u dst)
+  let su = Procgraph.succ t.g u in
+  let rec find i =
+    if i >= Array.length su then
+      invalid_arg
+        (Printf.sprintf "Freq.edge_freq: %d -> %d is not an edge"
+           (Procgraph.global t.g u) dst)
+    else if Procgraph.global t.g su.(i) = dst then t.efreq.(t.off.(u) + i)
+    else find (i + 1)
+  in
+  find 0
 
 let cyclic_prob t b =
   let u = local_exn t.g b in
@@ -53,69 +63,74 @@ let capped_heads t =
 
 let proc_degraded t = t.degraded
 
-(* Index of local successor [v] in [succ g u] — the pre-[t] version of
-   [succ_index] for use during analysis. *)
-let succ_index_local g u v =
-  let su = Procgraph.succ g u in
-  let rec find i =
-    if i >= Array.length su then assert false
-    else if su.(i) = v then i
-    else find (i + 1)
-  in
-  find 0
+let loops t = t.loops
 
 let analyze_proc g loops heur =
   let n = Procgraph.size g in
-  let probs =
-    Array.init n (fun u ->
-        let sp = Heuristics.succ_probs heur (Procgraph.global g u) in
-        Array.map
-          (fun v ->
-             match List.assoc_opt (Procgraph.global g v) sp with
-             | Some pr -> pr
-             | None -> assert false (* same dedup'd successor set *))
-          (Procgraph.succ g u))
-  in
-  (* (pred, edge index in pred's succ array) per block. *)
-  let incoming = Array.make n [] in
+  (* Edges numbered in (source, successor index) order, flat. *)
+  let off = Array.make (n + 1) 0 in
   for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + Array.length (Procgraph.succ g u)
+  done;
+  let m = off.(n) in
+  let prob = Array.make m 0.0 in
+  for u = 0 to n - 1 do
+    let sp = Heuristics.succ_probs heur (Procgraph.global g u) in
     Array.iteri
-      (fun i v -> incoming.(v) <- (u, i) :: incoming.(v))
+      (fun i v -> prob.(off.(u) + i) <- List.assoc (Procgraph.global g v) sp)
       (Procgraph.succ g u)
   done;
-  let back = Hashtbl.create 16 in
+  (* Incoming edges per block, predecessors descending: the order every
+     inflow sum below adds them in. *)
+  let in_off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    in_off.(v + 1) <- in_off.(v) + Array.length (Procgraph.pred g v)
+  done;
+  let in_src = Array.make m 0 and in_edge = Array.make m 0 in
+  for v = 0 to n - 1 do
+    let pv = Procgraph.pred g v in
+    let k = Array.length pv in
+    for j = 0 to k - 1 do
+      let p = pv.(k - 1 - j) in
+      in_src.(in_off.(v) + j) <- p;
+      in_edge.(in_off.(v) + j) <- edge_id g off p ~dst:v
+    done
+  done;
+  let back = Array.make m false in
   let is_head = Array.make n false in
   List.iter
     (fun (l : Loops.loop) ->
        is_head.(Procgraph.local g l.Loops.head) <- true;
        List.iter
          (fun (t, h) ->
-            Hashtbl.replace back (Procgraph.local g t, Procgraph.local g h) ())
+            back.(edge_id g off (Procgraph.local g t) ~dst:(Procgraph.local g h)) <- true)
          l.Loops.back_edges)
     (Loops.loops loops);
-  let is_back u v = Hashtbl.mem back (u, v) in
   let bfreq = Array.make n 0.0 in
-  let efreq = Array.map (fun ps -> Array.make (Array.length ps) 0.0) probs in
+  let efreq = Array.make m 0.0 in
   let cp = Array.make n 0.0 in
   let capped = Array.make n false in
-  let reachable = Procgraph.reachable g in
   let degraded = not (Loops.reducible loops) in
   let set_out u =
-    Array.iteri (fun i pr -> efreq.(u).(i) <- pr *. bfreq.(u)) probs.(u)
+    let f = bfreq.(u) in
+    for e = off.(u) to off.(u + 1) - 1 do
+      efreq.(e) <- prob.(e) *. f
+    done
   in
+  let entry = Procgraph.entry g in
   if degraded then begin
     (* Irreducible: bounded Gauss–Seidel over the full linear system,
        all edges included.  Approximate by construction; the procedure
        is reported degraded and lint surfaces it as P113. *)
-    let entry = Procgraph.entry g in
+    let reachable = Procgraph.reachable g in
     let sweep () =
       let delta = ref 0.0 in
       for u = 0 to n - 1 do
         if reachable.(u) then begin
           let f = ref (if u = entry then 1.0 else 0.0) in
-          List.iter
-            (fun (p, i) -> f := !f +. (probs.(p).(i) *. bfreq.(p)))
-            incoming.(u);
+          for j = in_off.(u) to in_off.(u + 1) - 1 do
+            f := !f +. (prob.(in_edge.(j)) *. bfreq.(in_src.(j)))
+          done;
           delta := Float.max !delta (Float.abs (!f -. bfreq.(u)));
           bfreq.(u) <- !f
         end
@@ -131,88 +146,77 @@ let analyze_proc g loops heur =
   else begin
     (* Reverse post-order of the graph minus dominance back edges —
        acyclic for reducible procedures, so a single in-order walk has
-       every (non-back) predecessor ready. *)
-    let rpo =
-      let seen = Array.make n false in
-      let post = ref [] in
-      let entry = Procgraph.entry g in
-      let stack = ref [ (entry, ref 0) ] in
-      seen.(entry) <- true;
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | (u, i) :: rest ->
-          let su = Procgraph.succ g u in
-          if !i < Array.length su then begin
-            let v = su.(!i) in
-            incr i;
-            if (not (is_back u v)) && not seen.(v) then begin
-              seen.(v) <- true;
-              stack := (v, ref 0) :: !stack
-            end
-          end
-          else begin
-            stack := rest;
-            post := u :: !post
-          end
+       every (non-back) predecessor ready.  [pos] is each block's place
+       in it. *)
+    let pos = Array.make n (-1) in
+    let post = Array.make n 0 and reached = ref 0 in
+    let rec dfs u =
+      pos.(u) <- 0;
+      let su = Procgraph.succ g u in
+      for i = 0 to Array.length su - 1 do
+        if (not back.(off.(u) + i)) && pos.(su.(i)) < 0 then dfs su.(i)
       done;
-      !post
+      post.(!reached) <- u;
+      incr reached
     in
-    (* One pass: compute member frequencies relative to [freq head =
-       head_f], refreshing outgoing edge flows; [stamp] distinguishes
-       this pass's flows from stale ones. *)
+    if n > 0 then dfs entry;
+    let rpo = Array.init !reached (fun r -> post.(!reached - 1 - r)) in
+    Array.iteri (fun r u -> pos.(u) <- r) rpo;
+    (* One pass over [members] (in RPO order): compute their frequencies
+       relative to [freq head = head_f], refreshing outgoing edge flows;
+       [mark] tells this pass's members from everything else. *)
     let mark = Array.make n 0 in
     let pass = ref 0 in
-    let run_pass ~members ~head ~head_f =
+    let run_pass members ~head ~head_f =
       incr pass;
-      List.iter (fun u -> mark.(u) <- !pass) members;
-      List.iter
-        (fun u ->
-           if mark.(u) = !pass then begin
-             (if u = head then bfreq.(u) <- head_f
-              else begin
-                let inflow = ref 0.0 in
-                List.iter
-                  (fun (p, i) ->
-                     if mark.(p) = !pass && not (is_back p u) then
-                       inflow := !inflow +. efreq.(p).(i))
-                  incoming.(u);
-                bfreq.(u) <-
-                  (if is_head.(u) then !inflow /. (1.0 -. cp.(u)) else !inflow)
-              end);
-             set_out u
-           end)
-        rpo
+      let stamp = !pass in
+      Array.iter (fun u -> mark.(u) <- stamp) members;
+      for r = 0 to Array.length members - 1 do
+        let u = members.(r) in
+        (if u = head then bfreq.(u) <- head_f
+         else begin
+           let inflow = ref 0.0 in
+           for j = in_off.(u) to in_off.(u + 1) - 1 do
+             let e = in_edge.(j) in
+             if mark.(in_src.(j)) = stamp && not back.(e) then
+               inflow := !inflow +. efreq.(e)
+           done;
+           bfreq.(u) <-
+             (if is_head.(u) then !inflow /. (1.0 -. cp.(u)) else !inflow)
+         end);
+        set_out u
+      done
     in
     (* Innermost-first: each loop pass freezes its head's cyclic
        probability before any enclosing pass reads it. *)
     let by_depth =
       List.sort
         (fun (a : Loops.loop) (b : Loops.loop) ->
-           compare (b.Loops.depth, a.Loops.head) (a.Loops.depth, b.Loops.head))
+           if a.Loops.depth <> b.Loops.depth then Int.compare b.Loops.depth a.Loops.depth
+           else Int.compare a.Loops.head b.Loops.head)
         (Loops.loops loops)
     in
     List.iter
       (fun (l : Loops.loop) ->
          let h = Procgraph.local g l.Loops.head in
-         run_pass
-           ~members:(List.map (Procgraph.local g) l.Loops.blocks)
-           ~head:h ~head_f:1.0;
-         let raw =
-           List.fold_left
-             (fun acc (t, hd) ->
-                let tl = Procgraph.local g t in
-                acc +. efreq.(tl).(succ_index_local g tl (Procgraph.local g hd)))
-             0.0 l.Loops.back_edges
-         in
-         capped.(h) <- raw > cp_cap;
-         cp.(h) <- Float.min cp_cap raw)
+         let members = Array.of_list l.Loops.blocks in
+         Array.iteri (fun i b -> members.(i) <- pos.(Procgraph.local g b)) members;
+         Array.sort Int.compare members;
+         Array.iteri (fun i r -> members.(i) <- rpo.(r)) members;
+         run_pass members ~head:h ~head_f:1.0;
+         let raw = ref 0.0 in
+         List.iter
+           (fun (t, hd) ->
+              let tl = Procgraph.local g t in
+              raw := !raw +. efreq.(edge_id g off tl ~dst:(Procgraph.local g hd)))
+           l.Loops.back_edges;
+         capped.(h) <- !raw > cp_cap;
+         cp.(h) <- Float.min cp_cap !raw)
       by_depth;
-    let entry = Procgraph.entry g in
     let entry_f = if is_head.(entry) then 1.0 /. (1.0 -. cp.(entry)) else 1.0 in
-    run_pass ~members:rpo ~head:entry ~head_f:entry_f
+    run_pass rpo ~head:entry ~head_f:entry_f
   end;
-  { g; bfreq; efreq; cp; is_head; capped; degraded }
+  { g; loops; bfreq; off; efreq; cp; is_head; capped; degraded }
 
 (* ------------------------------------------------------------------ *)
 
@@ -322,27 +326,11 @@ let estimate prog =
   let heads =
     Bounds.full_heads (Bounds.static_heads prog)
     |> List.map (fun h -> (h, global_freq t0 h))
-    |> List.sort (fun (ha, fa) (hb, fb) -> compare (fb, ha) (fa, hb))
+    |> Array.of_list
   in
+  Array.stable_sort
+    (fun (ha, fa) (hb, fb) ->
+       match Float.compare fb fa with 0 -> Int.compare ha hb | c -> c)
+    heads;
+  let heads = Array.to_list heads in
   { t0 with heads }
-
-(* Schemes call [create] once per delay lane on the same loaded
-   program; the estimate is pure, so share it by physical identity. *)
-let cache_lock = Mutex.create ()
-
-let cache : (Cfg.program * t) list ref = ref []
-
-let cache_limit = 8
-
-let cached prog =
-  Mutex.protect cache_lock (fun () ->
-      match List.find_opt (fun (p, _) -> p == prog) !cache with
-      | Some (_, t) -> t
-      | None ->
-        let t = estimate prog in
-        cache :=
-          (prog, t)
-          :: (if List.length !cache >= cache_limit then
-                List.filteri (fun i _ -> i < cache_limit - 1) !cache
-              else !cache);
-        t)

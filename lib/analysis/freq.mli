@@ -50,15 +50,19 @@ val proc_degraded : proc_freq -> bool
 (** The procedure is irreducible and was solved by the bounded
     iterative fallback instead of the closed form. *)
 
+val loops : proc_freq -> Loops.t
+(** The loop analysis the frequencies were propagated over — what
+    {!Kselect} reads the procedure's loops from. *)
+
 (** {1 Whole-program estimate} *)
 
 type t
 
 val estimate : Cfg.program -> t
-
-val cached : Cfg.program -> t
-(** Memoized {!estimate}, keyed on physical program identity — schemes
-    call this once per delay lane on the same loaded program. *)
+(** The whole-program estimate, linear in the program's size.  Pure and
+    not memoized: a caller that needs it more than once computes it once
+    and passes it on, as a scheme's [create ~program] stage does for
+    all the delay lanes of a session. *)
 
 val program : t -> Cfg.program
 

@@ -56,8 +56,6 @@ let analyze ?(max_k = default_max_k) ?(budget = default_budget) freq =
   let max_selected = ref 1 in
   Cfg.iter_procs
     (fun proc ->
-       let g = Procgraph.build prog ~proc:proc.Cfg.pid in
-       let loops = Loops.analyze (Dominators.compute g) in
        let pf = Freq.of_proc freq proc.Cfg.pid in
        List.iter
          (fun (l : Loops.loop) ->
@@ -71,7 +69,7 @@ let analyze ?(max_k = default_max_k) ?(budget = default_budget) freq =
             Hashtbl.replace by_head l.Loops.head c;
             choices := c :: !choices;
             if k > !max_selected then max_selected := k)
-         (Loops.loops loops))
+         (Loops.loops (Freq.loops pf)))
     prog;
   {
     by_head;
@@ -85,22 +83,3 @@ let k_for t head =
 let choices t = t.choices
 
 let max_selected t = t.max_selected
-
-let cache_lock = Mutex.create ()
-
-let cache : (Cfg.program * t) list ref = ref []
-
-let cache_limit = 8
-
-let cached prog =
-  Mutex.protect cache_lock (fun () ->
-      match List.find_opt (fun (p, _) -> p == prog) !cache with
-      | Some (_, t) -> t
-      | None ->
-        let t = analyze (Freq.cached prog) in
-        cache :=
-          (prog, t)
-          :: (if List.length !cache >= cache_limit then
-                List.filteri (fun i _ -> i < cache_limit - 1) !cache
-              else !cache);
-        t)

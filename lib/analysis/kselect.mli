@@ -31,11 +31,9 @@ type choice = {
 type t
 
 val analyze : ?max_k:int -> ?budget:int -> Freq.t -> t
-
-val cached : Cfg.program -> t
-(** Memoized [analyze (Freq.cached program)] at the default parameters,
-    keyed on physical program identity (the kauto schemes call this
-    once per delay lane). *)
+(** Choices for every natural loop of the estimated program, read off
+    the loops each procedure's estimate was propagated over
+    ({!Freq.loops}). *)
 
 val k_for : t -> Cfg.block_id -> int
 (** Selected window length for a head block; [1] for any block that

@@ -19,102 +19,95 @@ let analyze dom =
   let g = Dominators.graph dom in
   let n = Procgraph.size g in
   let reach = Procgraph.reachable g in
-  (* Dominance back edges (tail, head), in local indices. *)
-  let back = ref [] in
-  for u = 0 to n - 1 do
-    if reach.(u) then
-      Array.iter
-        (fun v ->
-           if
-             reach.(v)
-             && Dominators.dominates dom (Procgraph.global g v) (Procgraph.global g u)
-           then back := (u, v) :: !back)
-        (Procgraph.succ g u)
+  (* A dominance back edge [u -> v]: [v] dominates [u] (both reachable,
+     which [dominates] implies). *)
+  let is_back u v =
+    Dominators.dominates dom (Procgraph.global g v) (Procgraph.global g u)
+  in
+  (* Tails per head, ascending by tail. *)
+  let tails = Array.make n [] in
+  for u = n - 1 downto 0 do
+    let su = Procgraph.succ g u in
+    for i = 0 to Array.length su - 1 do
+      let v = su.(i) in
+      if is_back u v then tails.(v) <- u :: tails.(v)
+    done
   done;
-  let back = List.rev !back in
-  let by_head = Hashtbl.create 8 in
-  List.iter
-    (fun (u, v) ->
-       let tails = try Hashtbl.find by_head v with Not_found -> [] in
-       Hashtbl.replace by_head v (u :: tails))
-    back;
-  let heads = List.sort_uniq compare (List.map snd back) in
   (* Natural-loop bodies: backward reachability from the tails, stopping
-     at the head. *)
-  let bodies =
-    List.map
-      (fun head ->
-         let tails = Hashtbl.find by_head head in
-         let inloop = Array.make n false in
-         inloop.(head) <- true;
-         let rec visit u =
-           if reach.(u) && not inloop.(u) then begin
-             inloop.(u) <- true;
-             Array.iter visit (Procgraph.pred g u)
-           end
-         in
-         List.iter visit tails;
-         (head, inloop))
-      heads
-  in
+     at the head.  [stamp] marks the current body; the walk gathers its
+     members into [buf] and counts each block's nesting depth. *)
   let depth = Array.make n 0 in
-  List.iter
-    (fun (_, inloop) ->
-       for i = 0 to n - 1 do
-         if inloop.(i) then depth.(i) <- depth.(i) + 1
-       done)
-    bodies;
-  let loops =
-    List.map
-      (fun (head, inloop) ->
-         let blocks = ref [] in
-         for i = n - 1 downto 0 do
-           if inloop.(i) then blocks := Procgraph.global g i :: !blocks
-         done;
-         let back_edges =
-           List.filter_map
-             (fun (u, v) ->
-                if v = head then Some (Procgraph.global g u, Procgraph.global g v)
-                else None)
-             back
-           |> List.sort compare
-         in
-         (* Innermost strictly-enclosing loop: among the other loops
-            containing this head, the one with the deepest head. *)
-         let parent =
-           List.filter (fun (h, body) -> h <> head && body.(head)) bodies
-           |> List.fold_left
-                (fun best (h, _) ->
-                   match best with
-                   | Some b when depth.(b) >= depth.(h) -> best
-                   | _ -> Some h)
-                None
-           |> Option.map (Procgraph.global g)
-         in
-         { head = Procgraph.global g head; back_edges; blocks = !blocks;
-           depth = depth.(head); parent })
-      bodies
-    |> List.sort (fun a b -> compare a.head b.head)
+  let stamp = Array.make n (-1) in
+  let buf = Array.make n 0 and len = ref 0 in
+  let rec visit head u =
+    if reach.(u) && stamp.(u) <> head then begin
+      stamp.(u) <- head;
+      depth.(u) <- depth.(u) + 1;
+      buf.(!len) <- u;
+      incr len;
+      let pu = Procgraph.pred g u in
+      for i = 0 to Array.length pu - 1 do
+        visit head pu.(i)
+      done
+    end
   in
+  let bodies = ref [] in
+  for head = n - 1 downto 0 do
+    if tails.(head) <> [] then begin
+      stamp.(head) <- head;
+      depth.(head) <- depth.(head) + 1;
+      buf.(0) <- head;
+      len := 1;
+      List.iter (visit head) tails.(head);
+      let members = Array.sub buf 0 !len in
+      Array.sort Int.compare members;
+      bodies := (head, members) :: !bodies
+    end
+  done;
+  (* Natural loops with distinct heads are nested or disjoint, so the
+     loops holding a head nest with strictly increasing depth: its
+     parent is the deepest one apart from its own. *)
+  let parent = Array.make n (-1) in
+  List.iter
+    (fun (head, members) ->
+       Array.iter
+         (fun u ->
+            if u <> head && tails.(u) <> []
+               && (parent.(u) < 0 || depth.(head) > depth.(parent.(u)))
+            then parent.(u) <- head)
+         members)
+    !bodies;
+  let global = Procgraph.global g in
+  let loops =
+    Array.of_list !bodies
+    |> Array.map (fun (head, members) ->
+         {
+           head = global head;
+           back_edges = List.sort compare (List.map (fun u -> (global u, global head)) tails.(head));
+           blocks = Array.to_list (Array.map global members);
+           depth = depth.(head);
+           parent = (if parent.(head) < 0 then None else Some (global parent.(head)));
+         })
+  in
+  Array.stable_sort (fun a b -> Int.compare a.head b.head) loops;
   (* Reducibility: remove the dominance back edges and look for a cycle
      in what remains of the reachable subgraph. *)
-  let back_set = Hashtbl.create 16 in
-  List.iter (fun e -> Hashtbl.replace back_set e ()) back;
   let color = Array.make n 0 in
   let witnesses = ref [] in
   let rec dfs u =
     color.(u) <- 1;
-    Array.iter
-      (fun v ->
-         if not (Hashtbl.mem back_set (u, v)) then
-           if color.(v) = 0 then dfs v
-           else if color.(v) = 1 then
-             witnesses := (Procgraph.global g u, Procgraph.global g v) :: !witnesses)
-      (Procgraph.succ g u);
+    let su = Procgraph.succ g u in
+    for i = 0 to Array.length su - 1 do
+      let v = su.(i) in
+      if not (is_back u v) then
+        if color.(v) = 0 then dfs v
+        else if color.(v) = 1 then
+          witnesses := (global u, global v) :: !witnesses
+    done;
     color.(u) <- 2
   in
   if n > 0 then dfs 0;
-  { graph = g; loops; depth; irreducible = List.rev !witnesses }
+  { graph = g; loops = Array.to_list loops; depth; irreducible = List.rev !witnesses }
 
 let loops t = t.loops
 let loop_count t = List.length t.loops

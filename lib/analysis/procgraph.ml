@@ -4,32 +4,60 @@ type t = {
   program : Cfg.program;
   proc : Cfg.proc_id;
   blocks : Cfg.block_id array;  (* local -> global, layout order *)
-  local_of : (Cfg.block_id, int) Hashtbl.t;
+  base : Cfg.block_id;  (* smallest global id of the procedure *)
+  local_of : int array;  (* global - base -> local, -1 outside the proc *)
   succ : int array array;
   pred : int array array;
 }
 
-let dedup_sorted l = List.sort_uniq compare l
+(* Local index of global block [g]; -1 outside the procedure. *)
+let find base local_of g =
+  let i = g - base in
+  if i >= 0 && i < Array.length local_of then local_of.(i) else -1
 
 let build program ~proc =
   let pr = Cfg.proc program proc in
   let blocks = Array.copy pr.Cfg.blocks in
   let n = Array.length blocks in
-  let local_of = Hashtbl.create (2 * n) in
-  Array.iteri (fun i g -> Hashtbl.replace local_of g i) blocks;
-  let succ_lists = Array.make n [] in
-  let pred_lists = Array.make n [] in
-  Array.iteri
-    (fun i g ->
-       let targets = ref [] in
-       Cfg.iter_succ (fun dst -> targets := dst :: !targets) program g;
-       let locals = dedup_sorted (List.map (Hashtbl.find local_of) !targets) in
-       succ_lists.(i) <- locals;
-       List.iter (fun j -> pred_lists.(j) <- i :: pred_lists.(j)) locals)
-    blocks;
-  let succ = Array.map Array.of_list succ_lists in
-  let pred = Array.map (fun l -> Array.of_list (dedup_sorted l)) pred_lists in
-  { program; proc; blocks; local_of; succ; pred }
+  let base = Array.fold_left min max_int blocks in
+  let span = Array.fold_left max (-1) blocks - base + 1 in
+  let local_of = Array.make (max span 0) (-1) in
+  Array.iteri (fun i g -> local_of.(g - base) <- i) blocks;
+  let local_target dst =
+    match find base local_of dst with
+    | -1 ->
+      invalid_arg
+        (Printf.sprintf "Procgraph.build: edge target %d not in procedure %d" dst proc)
+    | j -> j
+  in
+  (* Each block's distinct local targets, kept ascending by insertion
+     into a scratch buffer (a block has at most [n] of them). *)
+  let buf = Array.make n 0 and len = ref 0 in
+  let add dst =
+    let j = local_target dst in
+    let k = ref 0 in
+    while !k < !len && buf.(!k) < j do incr k done;
+    if !k = !len || buf.(!k) <> j then begin
+      Array.blit buf !k buf (!k + 1) (!len - !k);
+      buf.(!k) <- j;
+      incr len
+    end
+  in
+  let succ =
+    Array.map
+      (fun g ->
+         len := 0;
+         Cfg.iter_succ add program g;
+         Array.sub buf 0 !len)
+      blocks
+  in
+  (* Prepending sources from the last down leaves each list ascending,
+     with each source once per target. *)
+  let pred = Array.make n [] in
+  for i = n - 1 downto 0 do
+    Array.iter (fun j -> pred.(j) <- i :: pred.(j)) succ.(i)
+  done;
+  { program; proc; blocks; base; local_of; succ; pred = Array.map Array.of_list pred }
 
 let program t = t.program
 let proc_id t = t.proc
@@ -38,11 +66,11 @@ let entry _t = 0
 let global t i = t.blocks.(i)
 
 let local t g =
-  match Hashtbl.find_opt t.local_of g with
-  | Some i -> i
-  | None ->
+  match find t.base t.local_of g with
+  | -1 ->
     invalid_arg
       (Printf.sprintf "Procgraph.local: block %d not in procedure %d" g t.proc)
+  | i -> i
 
 let succ t i = t.succ.(i)
 let pred t i = t.pred.(i)

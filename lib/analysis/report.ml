@@ -61,7 +61,7 @@ let render ?cap p =
    | None ->
      Buffer.add_string buf
        "NET/B-L counter ratio (static): ~0% (path count overflows the cap)\n");
-  let freq = Freq.cached p in
+  let freq = Freq.estimate p in
   let heads = Freq.ranked_heads freq in
   let total = List.fold_left (fun acc (_, f) -> acc +. f) 0.0 heads in
   Buffer.add_string buf
@@ -74,7 +74,7 @@ let render ?cap p =
         | ps -> Printf.sprintf ", %d degraded procs (P113)" (List.length ps))
        (if Freq.recursion_capped freq then ", recursion-capped invocations"
         else ""));
-  let ks = Kselect.cached p in
+  let ks = Kselect.analyze freq in
   let kdist = Hashtbl.create 4 in
   List.iter
     (fun (c : Kselect.choice) ->

@@ -48,7 +48,7 @@ let top_overlap_pct ~n est meas =
 
 let compute_row ?scale (b : Suite.benchmark) =
   let run = Runs.load ?scale b in
-  let freq = Freq.cached run.Runs.recorded.Recorder.program in
+  let freq = Freq.estimate run.Runs.recorded.Recorder.program in
   let est = Freq.ranked_heads freq in
   let measured = Recorder.head_arrival_counts run.Runs.recorded in
   let meas_of h =
@@ -135,7 +135,7 @@ let render_csv ?scale ?jobs () = Tablefmt.render_csv (to_table (compute ?scale ?
 let render_bench ?scale ?(top = 12) (b : Suite.benchmark) =
   let run = Runs.load ?scale b in
   let program = run.Runs.recorded.Recorder.program in
-  let freq = Freq.cached program in
+  let freq = Freq.estimate program in
   let est = Freq.ranked_heads freq in
   let measured = Recorder.head_arrival_counts run.Runs.recorded in
   let meas_of h =
@@ -160,7 +160,7 @@ let render_bench ?scale ?(top = 12) (b : Suite.benchmark) =
           ("kauto", Tablefmt.Right);
         ]
   in
-  let ks = Kselect.cached program in
+  let ks = Kselect.analyze freq in
   Array.iteri
     (fun i h ->
        if i < top then

@@ -67,7 +67,7 @@ struct
     | Next_tail_once -> Scheme.Net_once
     | Previous_tail -> Scheme.Last_executed_tail
 
-  let create ~delay ~program =
+  let create ~program ~delay =
     ignore program;
     if delay < 1 then invalid_arg (V.name ^ ".create: delay must be >= 1");
     {

@@ -28,7 +28,7 @@ let make k : Scheme.packed =
 
     let kernel = Scheme.Net_k k
 
-    let create ~delay ~program =
+    let create ~program ~delay =
       ignore program;
       if delay < 1 then invalid_arg ("Net_k." ^ name ^ ": delay must be >= 1");
       { delay; counters = Hashtbl.create 256; remaining = 0; ops = 0;

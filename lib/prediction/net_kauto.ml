@@ -1,5 +1,6 @@
 module Cfg = Hotpath_cfg.Cfg
 module Path = Hotpath_trace.Path
+module Freq = Hotpath_analysis.Freq
 module Kselect = Hotpath_analysis.Kselect
 
 (* net-kauto: NET's counters and trip point, with the post-trip
@@ -23,16 +24,11 @@ let name = "net-kauto"
 
 let kernel = Scheme.Generic
 
-let create ~delay ~program =
-  if delay < 1 then invalid_arg "Net_kauto.create: delay must be >= 1";
-  {
-    delay;
-    ksel = Kselect.cached program;
-    counters = Hashtbl.create 256;
-    remaining = 0;
-    ops = 0;
-    collection = 0;
-  }
+let create ~program =
+  let ksel = Kselect.analyze (Freq.estimate program) in
+  fun ~delay ->
+    if delay < 1 then invalid_arg "Net_kauto.create: delay must be >= 1";
+    { delay; ksel; counters = Hashtbl.create 256; remaining = 0; ops = 0; collection = 0 }
 
 let observe t ~head ~arrival ~path_id ~n_branches ~n_blocks =
   ignore n_branches;

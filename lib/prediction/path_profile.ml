@@ -11,7 +11,7 @@ let name = "path-profile"
 
 let kernel = Scheme.Path_profile
 
-let create ~delay ~program =
+let create ~program ~delay =
   ignore program;
   if delay < 1 then invalid_arg "Path_profile.create: delay must be >= 1";
   { delay; counters = Hashtbl.create 1024; ops = 0 }

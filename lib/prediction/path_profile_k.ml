@@ -38,7 +38,7 @@ let make k : Scheme.packed =
 
     let kernel = Scheme.Path_profile_k k
 
-    let create ~delay ~program =
+    let create ~program ~delay =
       ignore program;
       if delay < 1 then
         invalid_arg ("Path_profile_k." ^ name ^ ": delay must be >= 1");

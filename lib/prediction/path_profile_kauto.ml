@@ -1,5 +1,6 @@
 module Cfg = Hotpath_cfg.Cfg
 module Path = Hotpath_trace.Path
+module Freq = Hotpath_analysis.Freq
 module Kselect = Hotpath_analysis.Kselect
 module Vec = Hotpath_util.Vec
 
@@ -30,17 +31,12 @@ let name = "path-profile-kauto"
 
 let kernel = Scheme.Generic
 
-let create ~delay ~program =
-  if delay < 1 then
-    invalid_arg "Path_profile_kauto.create: delay must be >= 1";
-  {
-    delay;
-    ksel = Kselect.cached program;
-    ids = Hashtbl.create 1024;
-    counts = Vec.create ();
-    window = [];
-    ops = 0;
-  }
+let create ~program =
+  let ksel = Kselect.analyze (Freq.estimate program) in
+  fun ~delay ->
+    if delay < 1 then
+      invalid_arg "Path_profile_kauto.create: delay must be >= 1";
+    { delay; ksel; ids = Hashtbl.create 1024; counts = Vec.create (); window = []; ops = 0 }
 
 let rec take n xs =
   if n <= 0 then []

@@ -17,7 +17,7 @@ module type S = sig
 
   val kernel : kernel
 
-  val create : delay:int -> program:Cfg.program -> t
+  val create : program:Cfg.program -> delay:int -> t
 
   val observe :
     t ->

@@ -44,9 +44,18 @@ module type S = sig
       what {!generic} does.  The kernel-vs-generic differentials hold
       each built-in's declaration to its scheme. *)
 
-  val create : delay:int -> program:Cfg.program -> t
-  (** Fresh scheme state with prediction delay [delay] (the paper's τ).
-      @raise Invalid_argument when [delay < 1]. *)
+  val create : program:Cfg.program -> delay:int -> t
+  (** [create ~program ~delay]: fresh scheme state with prediction delay
+      [delay] (the paper's τ).
+
+      [create] is staged.  [create ~program] does the scheme's
+      program-wide work (for [static] and the kauto schemes, the
+      Wu–Larus estimate) and never raises; the function it returns is
+      applied once per delay and validates it.  A caller that runs
+      several delays on one program ({!Session}'s lanes) applies
+      [~program] once and shares the result; a full application pays
+      the program-wide work each time.
+      @raise Invalid_argument when [delay < 1] (from the delay stage). *)
 
   val observe :
     t ->

@@ -194,8 +194,8 @@ module Generic_loop (S : Scheme.S) = struct
       done
     done
 
-  let loop ~program ls =
-    let states = Array.map (fun delay -> S.create ~delay ~program) ls.delays in
+  let loop make ls =
+    let states = Array.map (fun delay -> make ~delay) ls.delays in
     {
       walk = walk states ls;
       counter_space = (fun l -> S.counter_space states.(l));
@@ -523,9 +523,11 @@ let create ?events:ev ?(lint = true) ?on_predict (module S : Scheme.S) ~delays
     ~program ~table =
   let ev = live ev in
   let delays = Array.of_list delays in
-  (* Scheme-side delay validation first, with each scheme's own message
-     and before any other check. *)
-  Array.iter (fun delay -> if delay < 1 then ignore (S.create ~delay ~program)) delays;
+  (* The scheme's program-wide work, once for every lane; then
+     scheme-side delay validation, with each scheme's own message and
+     before any other check. *)
+  let make = S.create ~program in
+  Array.iter (fun delay -> if delay < 1 then ignore (make ~delay)) delays;
   let linted =
     if lint then
       match Lint.Incremental.create ~program ~table with
@@ -554,7 +556,7 @@ let create ?events:ev ?(lint = true) ?on_predict (module S : Scheme.S) ~delays
       match S.kernel with
       | Scheme.Generic ->
         let module G = Generic_loop (S) in
-        G.loop ~program ls
+        G.loop make ls
       | Scheme.Net -> net_loop Rearm ~program ls
       | Scheme.Net_once -> net_loop Once ~program ls
       | Scheme.Last_executed_tail -> net_loop Prev ~program ls

@@ -83,7 +83,9 @@ val create :
 (** [create (module S) ~delays ~program ~table] opens a session
     multiplexing one lane per delay, against a path table that may keep
     growing (the streaming decode protocol extends it between batches; the
-    session syncs per-path state on every push).
+    session syncs per-path state on every push).  It applies the scheme's
+    program-wide stage [S.create ~program] once and makes every lane
+    from its result.
 
     [lint] (default [true]) runs the attach-time program gate
     immediately — [Error] if the program fails the structural linter —

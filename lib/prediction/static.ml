@@ -30,16 +30,18 @@ let kernel = Scheme.Generic
    library, so the constant is restated rather than imported. *)
 let hot_share = 0.001
 
-let create ~delay ~program =
-  if delay < 1 then invalid_arg "Static.create: delay must be >= 1";
-  let heads = Freq.ranked_heads (Freq.cached program) in
+let create ~program =
+  let heads = Freq.ranked_heads (Freq.estimate program) in
   let total = List.fold_left (fun acc (_, f) -> acc +. f) 0.0 heads in
-  let armed = Hashtbl.create 256 in
-  if total > 0.0 then
-    List.iter
-      (fun (h, f) -> if f >= hot_share *. total then Hashtbl.replace armed h ())
-      heads;
-  { armed; collection = 0 }
+  let hot =
+    if total > 0.0 then List.filter (fun (_, f) -> f >= hot_share *. total) heads
+    else []
+  in
+  fun ~delay ->
+    if delay < 1 then invalid_arg "Static.create: delay must be >= 1";
+    let armed = Hashtbl.create 256 in
+    List.iter (fun (h, _) -> Hashtbl.replace armed h ()) hot;
+    { armed; collection = 0 }
 
 let observe t ~head ~arrival ~path_id ~n_branches ~n_blocks =
   ignore n_branches;

@@ -1,9 +1,9 @@
 (** [static] — zero-profiling hot-path prediction from the Wu–Larus
     estimate alone.
 
-    At [create], the {!Hotpath_analysis.Freq} estimate ranks the static
-    head set by estimated flow; heads clearing the paper's 0.1% hot
-    threshold are armed.  At run time the scheme keeps no counters and
+    [create ~program] computes the {!Hotpath_analysis.Freq} estimate,
+    which ranks the static head set by estimated flow; each state made
+    from it arms the heads clearing the paper's 0.1% hot threshold.  At run time the scheme keeps no counters and
     charges zero profiling operations: the first tail executing at an
     armed head is predicted outright (each head fires once).  The
     prediction delay is validated but inert — the series is flat in tau

@@ -350,7 +350,7 @@ let test_conservation_suite () =
 let test_invocations_and_ranking () =
   List.iter
     (fun (bname, (r : Recorder.t)) ->
-       let t = Freq.cached r.Recorder.program in
+       let t = Freq.estimate r.Recorder.program in
        Alcotest.(check bool) (bname ^ ": main invoked at least once") true
          (Freq.invocation_freq t 0 >= 1.0);
        let ranked = Freq.ranked_heads t in
@@ -400,7 +400,7 @@ let test_p113_clean_programs () =
 (* ------------------------------------------------------------------ *)
 
 let armed_heads program =
-  let ranked = Freq.ranked_heads (Freq.cached program) in
+  let ranked = Freq.ranked_heads (Freq.estimate program) in
   let total = List.fold_left (fun acc (_, f) -> acc +. f) 0.0 ranked in
   List.filter_map
     (fun (h, f) ->
@@ -475,6 +475,33 @@ let test_static_delay_inert_and_deterministic () =
   Alcotest.(check (array int)) "captured flow identical across delays"
     a.Replay.captured b.Replay.captured
 
+(* [create ~program] is a session's program-wide stage: a sweep over
+   all the default delays must pay for one estimate, as a one-delay
+   replay does, and not one per lane.  Allocation is deterministic, so
+   the gap between the two replays' minor words is exact: the extra
+   lanes' own state and traffic, far below half an estimate on a small
+   recording of the largest program, where one estimate per extra lane
+   would exceed it many times over. *)
+let test_lanes_share_program_stage () =
+  let r = List.assoc "gcc" (Lazy.force recordings) in
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let estimate = words (fun () -> Freq.estimate r.Recorder.program) in
+  let delays = Hotpath_metrics.Sweep.default_delays in
+  List.iter
+    (fun (name, scheme) ->
+       let one = words (fun () -> Replay.run scheme ~delay:(List.hd delays) r) in
+       let many = words (fun () -> Replay.run_many scheme ~delays r) in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: %d lanes cost %.0f words over one lane, estimate %.0f"
+            name (List.length delays) (many -. one) estimate)
+         true
+         (many -. one < estimate /. 2.0))
+    [ ("static", (module Static : Scheme.S)); ("net-kauto", (module Net_kauto : Scheme.S)) ]
+
 (* ------------------------------------------------------------------ *)
 (* Kselect                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -482,7 +509,7 @@ let test_static_delay_inert_and_deterministic () =
 let test_kselect_bounds_suite () =
   List.iter
     (fun (bname, (r : Recorder.t)) ->
-       let ks = Kselect.cached r.Recorder.program in
+       let ks = Kselect.analyze (Freq.estimate r.Recorder.program) in
        let budget = Bounds.Exact Kselect.default_budget in
        List.iter
          (fun (c : Kselect.choice) ->
@@ -675,6 +702,8 @@ let suites =
           test_static_zero_profiling;
         Alcotest.test_case "delay-inert and deterministic" `Quick
           test_static_delay_inert_and_deterministic;
+        Alcotest.test_case "lanes share the program-wide stage" `Quick
+          test_lanes_share_program_stage;
       ] );
     ( "static.kselect",
       [
