@@ -564,6 +564,22 @@ let outcome_equal (a : Replay.outcome) (b : Replay.outcome) =
   && a.Replay.profiling_ops = b.Replay.profiling_ops
   && a.Replay.collection_ops = b.Replay.collection_ops
 
+(* Allocation ceiling for the smoke gate, in words per instance-lane of
+   the 8-lane path-profile-k2 replay of deltablue (minor plus major
+   minus promoted words, so every word is counted once wherever it was
+   allocated).  Like the recording gate it is exact: the count is a
+   pure function of the code and the seed, whatever the host's load. *)
+let kpath_words_ceiling = 0.36
+
+(* Words allocated by [f ()], its result included. *)
+let allocated_words f =
+  let s0 = Gc.quick_stat () in
+  ignore (Sys.opaque_identity (f ()));
+  let s1 = Gc.quick_stat () in
+  s1.Gc.minor_words -. s0.Gc.minor_words
+  +. (s1.Gc.major_words -. s0.Gc.major_words)
+  -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+
 let kernel_bench ~smoke ~scale =
   heading
     (Printf.sprintf "Replay kernels — deltablue at scale %.1f%s" scale
@@ -623,6 +639,12 @@ let kernel_bench ~smoke ~scale =
               (Replay.run_many packed ~delays recorded)
               (replay_mapped packed (mapped_reader ()))))
     schemes;
+  let kpath_words =
+    allocated_words (fun () ->
+        Replay.run_many (Schemes.of_name_exn "path-profile-k2") ~delays recorded)
+    /. float_of_int (n * k)
+  in
+  Format.printf "  path-profile-k2: %.4f words per instance-lane@." kpath_words;
   (* Timings: best-of, same delay set everywhere, throughput in trace
      instances/s (n / wall — the multiplexed pass makes one traversal
      of the trace).  Best-of over enough reps that the minimum is
@@ -724,6 +746,10 @@ let kernel_bench ~smoke ~scale =
             "path-profile-k2: flattened trie %.2fx >= 1.5x over packed" ratio)
          (ratio >= 1.5)
      | None -> ());
+    check
+      (Printf.sprintf "path-profile-k2: %.4f <= %.3f words/instance-lane"
+         kpath_words kpath_words_ceiling)
+      (kpath_words <= kpath_words_ceiling);
     (* Regression gate against the committed baseline: the packed->kernel
        speedup is a ratio of two loops over the same data on the same
        machine, so it transfers across hosts where raw instances/s does

@@ -139,6 +139,11 @@ type lanes = {
   preds : prediction Vec.t array;  (* per lane, in firing order *)
 }
 
+let grown a n default =
+  let b = Array.make n default in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 (* Lane [l] accepts a prediction of [target] at instance [i]: once per
    prediction, so off the hot path. *)
 let accept ls l target i =
@@ -352,20 +357,39 @@ let pp_loop ls =
     collection_ops = (fun _ -> 0);
   }
 
-(* Path_profile_k.state with the suffix trie swapped for [Kpath.Flat],
-   which allocates node ids in exactly the reference interner's order,
-   and a node-indexed counts array.  The window cursor of each lane
-   depends on which instances that lane still profiles, so this loop
-   has no lane-blind shortcut. *)
+(* Path_profile_k.state over one [Kpath.Flat] forest shared by every
+   lane (k-BLPP's k-slab forest), so a window is interned once per
+   session, not once per lane.  A lane's [counts] slot for a node is 0
+   until the lane materializes the node, then its count plus one.  A
+   lane materializes a node with the node's suffix chain, so its counter
+   space is the suffix closure of the windows it visited: the node set
+   a private trie fed the same advances builds.  Which instances a lane
+   profiles, and so its cursor, is its own; but within one instance
+   [advance] is a function of the cursor, so a lane whose cursor equals
+   the previous profiled lane's takes that lane's node unprobed. *)
 type ppk_lane = {
   delay : int;
-  trie : Kpath.Flat.t;
-  mutable counts : int array;
+  mutable counts : int array;  (* node -> 0, or count + 1 *)
+  mutable space : int;  (* non-root nodes materialized *)
   mutable cur : int;
   mutable ops : int;
 }
 
-let ppk_walk states ls (b : Batch.t) ~lo ~hi ~base =
+(* First visit: mark [node] and its suffix chain up to the first node
+   already marked (the root is, from the start).  The chain may hold
+   ids interned after [node], so the array first covers the forest. *)
+let ppk_mark forest st node =
+  let n = Kpath.Flat.num_nodes forest in
+  if n > Array.length st.counts then
+    st.counts <- grown st.counts (max n (2 * Array.length st.counts)) 0;
+  let s = ref node in
+  while st.counts.(!s) = 0 do
+    st.counts.(!s) <- 1;
+    st.space <- st.space + 1;
+    s := Kpath.Flat.suffix forest !s
+  done
+
+let ppk_walk forest states ls (b : Batch.t) ~lo ~hi ~base =
   let ids = b.Batch.ids and arrs = b.Batch.arrs in
   let branches = ls.branches in
   let pa = ls.pa and cap = ls.cap and freq = ls.freq in
@@ -374,6 +398,7 @@ let ppk_walk states ls (b : Batch.t) ~lo ~hi ~base =
     Array.unsafe_set freq pid (Array.unsafe_get freq pid + 1);
     let cost = Array.unsafe_get branches pid + 1 in
     let arrival = Batch.kind_of_code (Array.unsafe_get arrs j) in
+    let prev_cur = ref (-1) and prev_node = ref 0 in
     for l = 0 to Array.length states - 1 do
       let pal = Array.unsafe_get pa l in
       if Array.unsafe_get pal pid < i then begin
@@ -384,32 +409,40 @@ let ppk_walk states ls (b : Batch.t) ~lo ~hi ~base =
         let st = Array.unsafe_get states l in
         (* Bit tracing plus the window cursor ride-along. *)
         st.ops <- st.ops + cost;
-        let node = Kpath.Flat.advance st.trie ~cur:st.cur ~arrival ~pid in
+        let cur = st.cur in
+        let node =
+          if cur = !prev_cur then !prev_node
+          else begin
+            let node = Kpath.Flat.advance forest ~cur ~arrival ~pid in
+            prev_cur := cur;
+            prev_node := node;
+            node
+          end
+        in
         st.cur <- node;
-        if node >= Array.length st.counts then begin
-          let c = Array.make (max (node + 1) (2 * Array.length st.counts)) 0 in
-          Array.blit st.counts 0 c 0 (Array.length st.counts);
-          st.counts <- c
-        end;
-        let count = Array.unsafe_get st.counts node + 1 in
-        Array.unsafe_set st.counts node count;
-        if count >= st.delay && Array.unsafe_get pal pid = max_int then
+        if node >= Array.length st.counts
+           || Array.unsafe_get st.counts node = 0
+        then ppk_mark forest st node;
+        let slot = Array.unsafe_get st.counts node + 1 in
+        Array.unsafe_set st.counts node slot;
+        if slot > st.delay && Array.unsafe_get pal pid = max_int then
           accept ls l pid i
       end
     done
   done
 
 let ppk_loop k ls =
+  let forest = Kpath.Flat.create ~k in
   let states =
     Array.map
       (fun delay ->
-         { delay; trie = Kpath.Flat.create ~k; counts = Array.make 64 0;
-           cur = Kpath.root; ops = 0 })
+         (* Slot 0 is the root's. *)
+         { delay; counts = [| 1 |]; space = 0; cur = Kpath.root; ops = 0 })
       ls.delays
   in
   {
-    walk = ppk_walk states ls;
-    counter_space = (fun l -> Kpath.Flat.num_nodes states.(l).trie - 1);
+    walk = ppk_walk forest states ls;
+    counter_space = (fun l -> states.(l).space);
     profiling_ops = (fun l -> states.(l).ops);
     collection_ops = (fun _ -> 0);
   }
@@ -581,11 +614,6 @@ let create ?events:ev ?(lint = true) ?on_predict (module S : Scheme.S) ~delays
       }
 
 let instances t = t.total
-
-let grown a n default =
-  let b = Array.make n default in
-  Array.blit a 0 b 0 (Array.length a);
-  b
 
 (* Bring the per-path arrays up to the table, which may have grown since
    the last push.  Each newly declared path is checked against the

@@ -18,7 +18,7 @@ module Freq = Hotpath_analysis.Freq
    baseline every profiled scheme must beat. *)
 
 type t = {
-  armed : (Cfg.block_id, unit) Hashtbl.t;
+  armed : Bytes.t;  (* per block id: '\001' while the head is armed *)
   mutable collection : int;
 }
 
@@ -37,11 +37,11 @@ let create ~program =
     if total > 0.0 then List.filter (fun (_, f) -> f >= hot_share *. total) heads
     else []
   in
+  let armed = Bytes.make (Array.length program.Cfg.blocks) '\000' in
+  List.iter (fun (h, _) -> Bytes.set armed h '\001') hot;
   fun ~delay ->
     if delay < 1 then invalid_arg "Static.create: delay must be >= 1";
-    let armed = Hashtbl.create 256 in
-    List.iter (fun (h, _) -> Hashtbl.replace armed h ()) hot;
-    { armed; collection = 0 }
+    { armed = Bytes.copy armed; collection = 0 }
 
 let observe t ~head ~arrival ~path_id ~n_branches ~n_blocks =
   ignore n_branches;
@@ -49,8 +49,8 @@ let observe t ~head ~arrival ~path_id ~n_branches ~n_blocks =
   match arrival with
   | Path.Entry | Path.Continuation -> None
   | Path.Loop_head ->
-    if Hashtbl.mem t.armed head then begin
-      Hashtbl.remove t.armed head;
+    if Bytes.get t.armed head = '\001' then begin
+      Bytes.set t.armed head '\000';
       Some path_id
     end
     else None

@@ -113,6 +113,8 @@ module Flat = struct
 
   let depth t node = t.f_depth.(node)
 
+  let suffix t node = t.f_suffix.(node)
+
   (* Deep keys are always >= 2^31 (base >= 1), so they never collide
      with the -1 empty sentinel.  Fibonacci-style multiplicative hash;
      the high bits carry the mix, so index with them. *)

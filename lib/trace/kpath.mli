@@ -43,8 +43,16 @@ val depth : t -> int -> int
     array and deeper children in an open-addressed int table — no
     hashtable buckets or boxing on the hot walk.  Node ids are
     bit-identical to the reference interner above for any advance
-    sequence (allocation order is preserved exactly), so
-    [num_nodes - 1] reports the same counter space. *)
+    sequence (allocation order is preserved exactly).
+
+    One [Flat.t] is a forest (a k-slab forest in k-BLPP's terms) that
+    any number of cursors may advance through: node ids are
+    forest-wide, each naming one window whichever cursor interned it
+    first.  A cursor's own counter space is then the suffix closure of
+    the windows it visited — every visited window and, transitively,
+    its {!suffix} — which is exactly the node set, root aside, that a
+    private forest fed only that cursor's advances would hold.  Fed a
+    single cursor, [num_nodes - 1] is that counter space directly. *)
 module Flat : sig
   type t
 
@@ -58,4 +66,9 @@ module Flat : sig
   val num_nodes : t -> int
 
   val depth : t -> int -> int
+
+  val suffix : t -> int -> int
+  (** The node's window minus its oldest component ({!root} at depth
+      1).  Interned whenever the node is: every node's suffix chain is
+      already in the forest. *)
 end

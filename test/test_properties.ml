@@ -14,6 +14,7 @@ module Net = Hotpath_prediction.Net
 module Path_profile = Hotpath_prediction.Path_profile
 module Branch_profile = Hotpath_prediction.Branch_profile
 module Replay = Hotpath_prediction.Replay
+module Schemes = Hotpath_prediction.Schemes
 module Hot_set = Hotpath_metrics.Hot_set
 module Rates = Hotpath_metrics.Rates
 module Ball_larus = Hotpath_profiling.Ball_larus
@@ -445,6 +446,32 @@ let prop_push_granularity_equals_run_many =
             (fun (_, kernel, twin) -> [ kernel; twin ])
             Generic_twins.pairs))
 
+let prop_kpath_lanes_equal_generic =
+  (* The path-profile-k kernel interns every lane's windows in one
+     shared forest; the reference keeps a private trie per lane.  Lanes
+     at a spread of delays stop profiling at different instances, so
+     their cursors part and each lane's counter space is its own suffix
+     closure.  Pushing the same trace in odd-sized batches must not
+     change that: tiling moves no instance across lanes. *)
+  QCheck.Test.make
+    ~name:"path-profile-k2/k3 shared-forest lanes == generic (+ odd batches)"
+    ~count:20
+    QCheck.(pair arb_workload (int_range 0 30))
+    (fun (w, half) ->
+       let _, recorded = record_spec w in
+       let delays = [ 1; 2; 5; 50; 1_000_000 ] in
+       List.for_all
+         (fun name ->
+            let kernel = Schemes.of_name_exn name in
+            let reference = Replay.run_many (Scheme.generic kernel) ~delays recorded in
+            List.for_all2 outcome_equal reference
+              (Replay.run_many kernel ~delays recorded)
+            &&
+            match push_in_slices kernel ~delays recorded ((2 * half) + 1) with
+            | None -> false
+            | Some pushed -> List.for_all2 outcome_equal reference pushed)
+         [ "path-profile-k2"; "path-profile-k3" ])
+
 let prop_run_many_mapped_equals_serial =
   (* The zero-copy mapped driver against the materialized reference:
      same outcomes and byte-identical event streams for every scheme.
@@ -594,6 +621,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_run_stream_equals_run;
         QCheck_alcotest.to_alcotest prop_run_many_stream_equals_run_many;
         QCheck_alcotest.to_alcotest prop_push_granularity_equals_run_many;
+        QCheck_alcotest.to_alcotest prop_kpath_lanes_equal_generic;
         QCheck_alcotest.to_alcotest prop_run_many_mapped_equals_serial;
         QCheck_alcotest.to_alcotest prop_rates_closed_form_exact_for_path_profile;
         QCheck_alcotest.to_alcotest prop_rates_closed_form_undershoots_for_net_once;
