@@ -252,6 +252,101 @@ let bench_ingest_line ~variant ~scale ~instances ~wall_s ~peak_rss_kb =
     ];
   Buffer.contents buf
 
+(* Words allocated by [f ()], its result included. *)
+let allocated_words f =
+  let s0 = Gc.quick_stat () in
+  ignore (Sys.opaque_identity (f ()));
+  let s1 = Gc.quick_stat () in
+  s1.Gc.minor_words -. s0.Gc.minor_words
+  +. (s1.Gc.major_words -. s0.Gc.major_words)
+  -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+
+(* [allocated_words] with the heap settled at both ends.  On OCaml 5,
+   [Gc.quick_stat]'s minor count moves only at minor collections and its
+   major count only at major slices, so an unsettled delta can be off by
+   up to a minor heap (256k words by default): too coarse for a drain
+   that allocates a few hundred thousand words in all. *)
+let settled_words f =
+  Gc.full_major ();
+  allocated_words (fun () ->
+      let r = f () in
+      Gc.full_major ();
+      r)
+
+(* Allocation ceiling for the streaming smoke gate, in heap words per
+   instance of draining the trace into one reused batch on each feed
+   (pull, mapped, push).  Counted by [settled_words], opening the
+   reader included, so it is exact: a pure function of the code and the
+   seed.  At smoke scale nearly all of it is fixed: the path table
+   (2,162 paths) and the batch grown to a 65,536-instance frame; the
+   pull feed adds its 64 KiB staging buffer.  A decoder that allocated
+   per instance, or a batch that stored arrivals as ints, would cross
+   it. *)
+let decode_words_ceiling = 0.55
+
+(* Drain a HOTPATH3 file on each feed into one reused batch, returning
+   (feed, instances, words).  The push feed gets the bytes in 64 KiB
+   pieces, as a serve client sends them; reading the file for it happens
+   outside the counted region. *)
+let decode_allocation ~path =
+  let module Stream = Serialize.Stream in
+  let module Decoder = Stream.Decoder in
+  let drain next rd =
+    let b = Batch.create () in
+    let rec go n =
+      match next rd b with
+      | Ok true -> go (n + Batch.length b)
+      | Ok false -> n
+      | Error e -> failwith e
+    in
+    go 0
+  in
+  let pull () =
+    match Stream.open_file ~path with
+    | Error e -> failwith e
+    | Ok rd ->
+      let n = drain Stream.next_batch rd in
+      Stream.close rd;
+      n
+  in
+  let mapped () =
+    match Stream.Mapped.map_file ~path with
+    | Error e -> failwith e
+    | Ok m -> drain Stream.Mapped.next_batch m
+  in
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  let push () =
+    let d = Decoder.create () and b = Batch.create () and n = ref 0 in
+    let rec pump () =
+      match Decoder.next_batch d b with
+      | Ok Decoder.B_batch ->
+        n := !n + Batch.length b;
+        pump ()
+      | Ok (Decoder.B_program _) -> pump ()
+      | Ok Decoder.B_need_more | Ok (Decoder.B_end _) -> ()
+      | Error e -> failwith e
+    in
+    let total = String.length bytes in
+    let rec feed pos =
+      if pos < total then begin
+        let len = min 65_536 (total - pos) in
+        Decoder.feed d bytes ~pos ~len;
+        pump ();
+        feed (pos + len)
+      end
+    in
+    feed 0;
+    Stream.close d;
+    pump ();
+    !n
+  in
+  List.map
+    (fun (feed, f) ->
+       let n = ref 0 in
+       let words = settled_words (fun () -> n := f ()) in
+       (feed, !n, words))
+    [ ("pull", pull); ("mapped", mapped); ("push", push) ]
+
 let streaming_demo ~smoke ~scale =
   heading
     (Printf.sprintf
@@ -374,7 +469,23 @@ let streaming_demo ~smoke ~scale =
   Format.printf "  outcomes bit-identical (read == mmap == materialized): %b@."
     same;
   if not same then exit 1;
+  let decode = decode_allocation ~path in
+  List.iter
+    (fun (feed, n, words) ->
+       Format.printf "  %-26s %d instances, %.0f words (%.4f words/inst)@."
+         (feed ^ " decode:") n words
+         (words /. float_of_int n))
+    decode;
   if smoke then begin
+    let worst =
+      List.fold_left
+        (fun m (_, n, words) -> Float.max m (words /. float_of_int n))
+        0.0 decode
+    in
+    let decode_pass = worst <= decode_words_ceiling in
+    Format.printf "  smoke gate (every feed's decode <= %.4f words/inst): %.4f %s@."
+      decode_words_ceiling worst
+      (if decode_pass then "PASS" else "FAIL");
     (* The mapped reader exists to beat the pull reader: it skips the
        read(2) round trips and the per-frame ring-buffer copies.  The
        timed region is decode + replay and the walk cost is common to
@@ -390,7 +501,7 @@ let streaming_demo ~smoke ~scale =
       (float_of_int mapped.Replay.total_instances /. mmap_s)
       (float_of_int streamed.Replay.total_instances /. read_s)
       (if pass then "PASS" else "FAIL");
-    if not pass then exit 1
+    if not (decode_pass && pass) then exit 1
   end
   else begin
     let oc = open_out bench_ingest_file in
@@ -570,15 +681,6 @@ let outcome_equal (a : Replay.outcome) (b : Replay.outcome) =
    allocated).  Like the recording gate it is exact: the count is a
    pure function of the code and the seed, whatever the host's load. *)
 let kpath_words_ceiling = 0.36
-
-(* Words allocated by [f ()], its result included. *)
-let allocated_words f =
-  let s0 = Gc.quick_stat () in
-  ignore (Sys.opaque_identity (f ()));
-  let s1 = Gc.quick_stat () in
-  s1.Gc.minor_words -. s0.Gc.minor_words
-  +. (s1.Gc.major_words -. s0.Gc.major_words)
-  -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
 
 let kernel_bench ~smoke ~scale =
   heading

@@ -235,10 +235,10 @@ module Stepper = struct
 
   let create cfg ~program ~lookup = create_sized ~paths:0 cfg ~program ~lookup
 
-  let arrival_code = function
-    | Path.Loop_head -> 0
-    | Path.Entry -> 1
-    | Path.Continuation -> 2
+  (* A path's profiling cost for [arrival] sits at [3 * pid] plus the
+     arrival byte. *)
+  let profile_slot pid arrival =
+    (3 * pid) + Char.code (Path.arrival_code arrival)
 
   (* First sight of a path: grow the memo arrays to cover its id, then
      fill its prefix sums and its profiling cost for each arrival. *)
@@ -263,7 +263,7 @@ module Stepper = struct
     List.iter
       (fun arrival ->
          Float.Array.set st.profile
-           ((3 * pid) + arrival_code arrival)
+           (profile_slot pid arrival)
            (st.cfg.scheme_costs.per_instance ~n_branches:p.Path.n_branches ~arrival))
       [ Path.Loop_head; Path.Entry; Path.Continuation ]
 
@@ -398,7 +398,7 @@ module Stepper = struct
         end;
         a.cyc_profile <-
           a.cyc_profile
-          +. Float.Array.get st.profile ((3 * pid) + arrival_code arrival);
+          +. Float.Array.get st.profile (profile_slot pid arrival);
         match
           st.observe ~head:(Path.head p) ~arrival ~path_id:pid
             ~n_branches:p.Path.n_branches

@@ -111,20 +111,6 @@ let run_stream ?events ?events_window scheme rd ~threshold ~delays =
     Option.iter (fun sink -> emit_points sink scheme points) events;
     Ok points
 
-let run_stream_timed ?events ?events_window scheme rd ~threshold ~delays =
-  let t0 = Unix.gettimeofday () in
-  match run_stream ?events ?events_window scheme rd ~threshold ~delays with
-  | Error _ as e -> e
-  | Ok points ->
-    let wall_s = Unix.gettimeofday () -. t0 in
-    let instances = Hotpath_trace.Serialize.Stream.instances_read rd in
-    let instances_per_s =
-      if wall_s > 0.0 then float_of_int instances /. wall_s else 0.0
-    in
-    let t = { wall_s; instances; instances_per_s } in
-    Option.iter (fun sink -> emit_done sink scheme ~delays t) events;
-    Ok (points, t)
-
 let pp_timing ppf t =
   Format.fprintf ppf "@[<h>%.3fs over %d instances (%.2e instances/s)@]"
     t.wall_s t.instances t.instances_per_s

@@ -73,15 +73,6 @@ val run_stream :
     {!run} except the single-pass [replay_window] samples omit
     hits/noise — the hot set does not exist until the walk ends. *)
 
-val run_stream_timed :
-  ?events:Hotpath_util.Events.sink ->
-  ?events_window:int ->
-  Hotpath_prediction.Scheme.packed ->
-  Hotpath_trace.Serialize.Stream.reader ->
-  threshold:float ->
-  delays:int list ->
-  (point list * timing, string) result
-
 val pp_timing : Format.formatter -> timing -> unit
 
 val interpolate_hit_at : point list -> profiled_pct:float -> float option

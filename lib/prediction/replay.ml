@@ -44,56 +44,19 @@ let reset_instance_reads () = Atomic.set reads 0
 (* The driver                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The slice a recording is copied in.  Every replay allocates its
-   batch in the major heap, and that allocation paces the major GC: a
-   batch many times the words a single lane allocates starts a major
-   cycle (which marks the recording's own arrays) every few dozen
-   replays.  This size keeps the batch cache-resident and the
-   allocation small. *)
-let slice = 4_096
-
-(* Where the batches come from: a recording, cut into slices, or a
-   HOTPATH3 reader, one instance frame per batch. *)
+(* Where the instances come from: a recording, or a HOTPATH3 reader,
+   one instance frame per batch. *)
 type source = Recording of Recorder.t | Reader of Stream.reader
 
-(* Copy instances [base, base + m) of a recording into batch slots
-   [0, m).  A function of its own, so the loop keeps every array in a
-   register rather than re-reading a closure's environment per
-   instance. *)
-let copy_slice (instances : int array) arrivals base (ids : int array)
-    (arrs : int array) m =
-  for j = 0 to m - 1 do
-    Array.unsafe_set ids j (Array.unsafe_get instances (base + j));
-    Array.unsafe_set arrs j (Char.code (Bytes.unsafe_get arrivals (base + j)))
-  done
-
-(* The source's one cursor: each call refills the batch with the next
-   slice ([Ok false] at the end). *)
-let cursor = function
-  | Reader rd -> Stream.next_batch rd
-  | Recording r ->
-    let instances = r.Recorder.instances and arrivals = r.Recorder.arrivals in
-    let n = Array.length instances and off = ref 0 in
-    fun (b : Batch.t) ->
-      if !off >= n then Ok false
-      else begin
-        let base = !off in
-        let m = min slice (n - base) in
-        Batch.ensure b m;
-        copy_slice instances arrivals base b.Batch.ids b.Batch.arrs m;
-        Batch.set_length b m;
-        off := base + m;
-        Ok true
-      end
-
 (* One driver for every source: one [Session] holding every delay lane
-   replays the whole stream, one reused batch at a time, all lane state
-   carried across batch seams inside the session.  An empty delay list
-   never touches the source. *)
+   replays the whole stream, all lane state carried across batch seams
+   inside the session.  A recording is one batch of its own arrays (the
+   session cuts it at sample-window ends); a reader refills one reused
+   batch per frame.  An empty delay list never touches the source. *)
 let drive ?events scheme ~delays src =
   match delays with
   | [] -> Ok []
-  | _ ->
+  | _ -> (
     let program, table =
       match src with
       | Recording r -> (r.Recorder.program, r.Recorder.table)
@@ -107,26 +70,32 @@ let drive ?events scheme ~delays src =
       | Ok sess -> sess
       | Error _ -> assert false (* lint off: create cannot fail *)
     in
-    (* Sized for a whole slice up front, so a recording's batch never
-       grows through a chain of discarded arrays. *)
-    let capacity =
-      match src with
-      | Recording r -> min slice (Recorder.num_instances r)
-      | Reader _ -> 1024
+    let push (b : Batch.t) =
+      ignore (Atomic.fetch_and_add reads (Batch.length b));
+      match Session.push_batch sess b with
+      | Ok () -> ()
+      | Error e -> invalid_arg ("Replay: " ^ e)
     in
-    let fill = cursor src and b = Batch.create ~capacity () in
-    let rec go () =
-      match fill b with
-      | Error _ as e -> e
-      | Ok false -> Ok (Session.finish sess)
-      | Ok true ->
-        ignore (Atomic.fetch_and_add reads (Batch.length b));
-        (match Session.push_batch sess b with
-         | Ok () -> ()
-         | Error e -> invalid_arg ("Replay: " ^ e));
-        go ()
-    in
-    go ()
+    match src with
+    | Recording r ->
+      push
+        {
+          Batch.n = Recorder.num_instances r;
+          ids = r.Recorder.instances;
+          arrs = r.Recorder.arrivals;
+        };
+      Ok (Session.finish sess)
+    | Reader rd ->
+      let b = Batch.create () in
+      let rec go () =
+        match Stream.next_batch rd b with
+        | Error _ as e -> e
+        | Ok false -> Ok (Session.finish sess)
+        | Ok true ->
+          push b;
+          go ()
+      in
+      go ())
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)

@@ -82,10 +82,9 @@ val run_many :
     O(delays × trace) to O(trace) instance reads).
 
     One {!Session} holds every delay lane and runs on the calling
-    domain.  The recording is copied into one reused batch of at most
-    4,096 instances at a time, which keeps the batch in cache and the
-    replay's major-heap allocation small; all lane state carries across
-    the seams, so results do not depend on the slice size.
+    domain.  The recording is handed to it as one batch of its own
+    arrays ({!Hotpath_trace.Batch.t} has the recording's layout), so no
+    instance is copied.
     {!instance_reads} counts the traversal once ([+ length trace]).
     @raise Invalid_argument when any delay is [< 1]. *)
 

@@ -77,11 +77,13 @@ module Sampler = struct
       c_instances = Events.Registry.counter "replay.instances";
     }
 
-  (* Cumulative hits/noise so far are read off the captured array — the
-     operational definition restricted to the instances seen so far —
-     rather than tracked per instance, keeping the hot loop untouched. *)
-  let sample t l ~upto ~n_paths ~captured_arr ~predictions ~captured_total
-      ~counter_space ~profiling_ops ~collection_ops =
+  (* Cumulative hits/noise so far are read off the lane's captured
+     counts — the operational definition restricted to the instances
+     seen so far — rather than tracked per instance, keeping the hot
+     loop untouched.  As in [captured_total], the sums run over the
+     lane's predictions, the only paths with captured executions. *)
+  let sample t l ~upto ~cap ~preds ~captured_total ~counter_space
+      ~profiling_ops ~collection_ops =
     let lane = t.lanes.(l) in
     if counter_space > lane.hw then lane.hw <- counter_space;
     let hits, noise =
@@ -89,16 +91,19 @@ module Sampler = struct
       | None -> (None, None)
       | Some is_hot ->
         let h = ref 0 and nz = ref 0 in
-        for pid = 0 to n_paths - 1 do
-          let c = captured_arr.(pid) in
-          if c > 0 then if is_hot pid then h := !h + c else nz := !nz + c
-        done;
+        Vec.iter
+          (fun p ->
+             let c = cap.(p.target) in
+             if c > 0 then
+               if is_hot p.target then h := !h + c else nz := !nz + c)
+          preds;
         (Some !h, Some !nz)
     in
     Events.replay_window t.ev.ev_sink ~scheme:t.scheme ~delay:t.delays.(l)
       ~seq:lane.seq ~upto
       ~instances:(upto - lane.last_upto)
-      ~predictions ~profiled:(upto - captured_total) ~captured:captured_total
+      ~predictions:(Vec.length preds) ~profiled:(upto - captured_total)
+      ~captured:captured_total
       ~profiling_ops ~collection_ops ~counter_space ~counter_space_hw:lane.hw
       ?hits ?noise ();
     Events.Registry.incr t.c_windows;
@@ -109,12 +114,12 @@ module Sampler = struct
   (* The final (possibly short) window: every lane always gets at least
      one sample, and the last sample's cumulative fields equal the
      outcome's totals — the invariant the differential suite checks. *)
-  let final t l ~upto ~n_paths ~captured_arr ~predictions ~captured_total
-      ~counter_space ~profiling_ops ~collection_ops =
+  let final t l ~upto ~cap ~preds ~captured_total ~counter_space
+      ~profiling_ops ~collection_ops =
     let lane = t.lanes.(l) in
     if lane.last_upto < upto || lane.seq = 0 then
-      sample t l ~upto ~n_paths ~captured_arr ~predictions ~captured_total
-        ~counter_space ~profiling_ops ~collection_ops
+      sample t l ~upto ~cap ~preds ~captured_total ~counter_space
+        ~profiling_ops ~collection_ops
 end
 
 (* ------------------------------------------------------------------ *)
@@ -183,7 +188,7 @@ module Generic_loop (S : Scheme.S) = struct
       let head = heads.(pid)
       and n_branches = branches.(pid)
       and n_blocks = blocks.(pid)
-      and arrival = Batch.kind_of_code arrs.(j) in
+      and arrival = Path.arrival_kind (Bytes.get arrs j) in
       for l = 0 to Array.length states - 1 do
         let pal = pa.(l) in
         if pal.(pid) < i then cap.(l).(pid) <- cap.(l).(pid) + 1
@@ -218,6 +223,9 @@ end
    path ([push_batch]) and every declared path's head is a program
    block ([sync]). *)
 
+(* The arrival byte NET and NET-k profile on. *)
+let loop_head_code = Path.arrival_code Path.Loop_head
+
 (* One loop for the three NET kernels: [Net], [Net_once] and
    [Last_executed_tail]. *)
 type net_variant = Rearm | Once | Prev
@@ -244,7 +252,7 @@ let net_walk variant states ls (b : Batch.t) ~lo ~hi ~base =
     let i = base + j and pid = Array.unsafe_get ids j in
     Array.unsafe_set freq pid (Array.unsafe_get freq pid + 1);
     (* NET profiles only targets of backward taken transfers. *)
-    let loop_head = Array.unsafe_get arrs j = 0 in
+    let loop_head = Bytes.unsafe_get arrs j = loop_head_code in
     let head = Array.unsafe_get heads pid in
     for l = 0 to Array.length states - 1 do
       let pal = Array.unsafe_get pa l in
@@ -397,7 +405,7 @@ let ppk_walk forest states ls (b : Batch.t) ~lo ~hi ~base =
     let i = base + j and pid = Array.unsafe_get ids j in
     Array.unsafe_set freq pid (Array.unsafe_get freq pid + 1);
     let cost = Array.unsafe_get branches pid + 1 in
-    let arrival = Batch.kind_of_code (Array.unsafe_get arrs j) in
+    let arrival = Path.arrival_kind (Bytes.unsafe_get arrs j) in
     let prev_cur = ref (-1) and prev_node = ref 0 in
     for l = 0 to Array.length states - 1 do
       let pal = Array.unsafe_get pa l in
@@ -464,7 +472,7 @@ let netk_walk k states ls (b : Batch.t) ~lo ~hi ~base =
   for j = lo to hi - 1 do
     let i = base + j and pid = Array.unsafe_get ids j in
     Array.unsafe_set freq pid (Array.unsafe_get freq pid + 1);
-    let loop_head = Array.unsafe_get arrs j = 0 in
+    let loop_head = Bytes.unsafe_get arrs j = loop_head_code in
     let head = Array.unsafe_get heads pid in
     for l = 0 to Array.length states - 1 do
       let pal = Array.unsafe_get pa l in
@@ -658,7 +666,7 @@ let sync t =
     t.n_paths <- np;
     Ok ()
 
-(* The unlinted gate: ids must be declared paths and arrival codes
+(* The unlinted gate: ids must be declared paths and arrival bytes
    valid, or the kernels would read past the per-path arrays.  The pass
    ORs every bound difference into one word, whose sign bit is set iff
    some instance is out of range, so a clean batch costs no
@@ -669,18 +677,19 @@ let check_ids t (b : Batch.t) =
   let m = b.Batch.n and last = np - 1 in
   let acc = ref 0 in
   for j = 0 to m - 1 do
-    let id = Array.unsafe_get ids j and c = Array.unsafe_get arrs j in
-    acc := !acc lor (id lor (last - id) lor (c lor (2 - c)))
+    let id = Array.unsafe_get ids j
+    and c = Char.code (Bytes.unsafe_get arrs j) in
+    acc := !acc lor (id lor (last - id) lor (2 - c))
   done;
   if !acc >= 0 then Ok ()
   else
     let rec first j =
-      let id = ids.(j) and c = arrs.(j) in
+      let id = ids.(j) and c = Char.code (Bytes.get arrs j) in
       if id < 0 || id >= np then
         Error
           (Printf.sprintf "Session.push_batch: path id %d out of range (%d paths)"
              id np)
-      else if c < 0 || c > 2 then
+      else if c > 2 then
         Error (Printf.sprintf "Session.push_batch: invalid arrival code %d" c)
       else first (j + 1)
     in
@@ -699,8 +708,7 @@ let sample_lanes t f upto =
   | Some sm ->
     let ls = t.ls in
     for l = 0 to Array.length ls.delays - 1 do
-      f sm l ~upto ~n_paths:t.n_paths ~captured_arr:ls.cap.(l)
-        ~predictions:(Vec.length ls.preds.(l))
+      f sm l ~upto ~cap:ls.cap.(l) ~preds:ls.preds.(l)
         ~captured_total:(captured_total ls l)
         ~counter_space:(t.loop.counter_space l)
         ~profiling_ops:(t.loop.profiling_ops l)
@@ -736,7 +744,7 @@ let push_batch t (b : Batch.t) =
   let* () =
     (* The loops read slots [0, length) unchecked. *)
     let n = b.Batch.n in
-    if n < 0 || n > Array.length b.Batch.ids || n > Array.length b.Batch.arrs
+    if n < 0 || n > Array.length b.Batch.ids || n > Bytes.length b.Batch.arrs
     then Error "Session.push_batch: batch length outside its arrays"
     else Ok ()
   in

@@ -5,9 +5,10 @@
     and capture counters, accepted predictions, event sampler cursors —
     and accepts the instance stream as any {!Hotpath_trace.Batch.t}, the
     one decoded form every source produces ({!push_batch}).  Every
-    replay runs through sessions: {!Replay.run_many} fills batches from
-    a recording, {!Replay.run_many_mapped} from a pull or mapped reader,
-    and the serve daemon from pushed bytes, so all three run the same
+    replay runs through sessions: {!Replay.run_many} pushes a recording
+    as one batch of its own arrays, {!Replay.run_many_mapped} the
+    batches of a pull or mapped reader, and the serve daemon those of
+    pushed bytes, so all three run the same
     lane loop for a given scheme (see {!section-loops}).  Batching is
     pure loop tiling: pushing a trace in any granularity (the
     differential suite drives 1, prime-sized, and larger-than-trace

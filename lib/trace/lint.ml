@@ -26,9 +26,7 @@ let ret_targets_of program =
       Array.of_list (Cfg.return_targets program q))
 
 (* Per-path structural and transfer-legality checks; fills [f] and emits
-   diagnostics through [add].  Shared by the whole-trace linter and the
-   batch-wise {!Incremental} one, so a path is judged identically however
-   it reaches the linter. *)
+   diagnostics through [add]. *)
 let lint_path program ret_targets ~n_blocks add (p : Path.t) f =
   let id = p.Path.id in
   let loc = Diag.Path id in
@@ -164,7 +162,8 @@ let lint_path program ret_targets ~n_blocks add (p : Path.t) f =
 let lint_first program add f0 a0 =
   if
     f0.f_ok
-    && not (a0 = '\001' && f0.f_head = Cfg.entry_block program)
+    && not (Path.arrival_kind a0 = Path.Entry
+            && f0.f_head = Cfg.entry_block program)
   then
     add
       (Diag.warning ~code:"T206" ~loc:(Diag.Instance 0)
@@ -172,10 +171,9 @@ let lint_first program add f0 a0 =
          (Cfg.entry_block program))
 
 (* One inter-instance hand-off: the previous instance's path ends, the
-   current one begins with arrival byte [a] at global instance index
-   [i].  Shared between the whole-trace walk and the batch-wise one —
-   batch boundaries are invisible because the only carried state is the
-   previous path's facts. *)
+   current one begins with (valid) arrival byte [a] at global instance
+   index [i].  Batch boundaries are invisible because the only carried
+   state is the previous path's facts. *)
 let lint_step program heads ret_targets add ~prev ~cur ~a ~i =
   if prev.f_ok && cur.f_ok then begin
     let h = cur.f_head and pl = prev.f_last in
@@ -192,11 +190,11 @@ let lint_step program heads ret_targets add ~prev ~cur ~a ~i =
         else Array.exists (fun t -> t = h) ret_targets.((Cfg.block program pl).Cfg.proc)
       | Cfg.Exit -> false
     in
-    match a with
-    | '\001' ->
+    match Path.arrival_kind a with
+    | Path.Entry ->
       add
         (Diag.error ~code:"T206" ~loc "entry arrival in the middle of the trace")
-    | '\000' ->
+    | Path.Loop_head ->
       (* Loop head: the hand-off transfer must be backward and the
          head must be a static potential path head. *)
       if h > pl then
@@ -213,7 +211,7 @@ let lint_step program heads ret_targets add ~prev ~cur ~a ~i =
             (Diag.error ~code:"T207" ~loc
                "no transfer from %d can reach head %d" pl h)
       end
-    | _ ->
+    | Path.Continuation ->
       (* Continuation: forward, and only after a matched return or a
          capped branch. *)
       if h <= pl then
@@ -234,62 +232,6 @@ let lint_step program heads ret_targets add ~prev ~cur ~a ~i =
                 capped branch"
                pl h)
       end
-  end
-
-let check_parts ~program ~table ~instances ~arrivals =
-  let prog_diags = Hotpath_analysis.Lint.structural program in
-  if Diag.has_errors prog_diags then prog_diags
-  else begin
-    let diags = ref [] in
-    let add d = diags := d :: !diags in
-    let n_paths = Path_table.size table in
-    let n_blocks = Cfg.num_blocks program in
-    (* Container checks: if these fail, the instance walk is meaningless. *)
-    let containers_ok = ref true in
-    if Bytes.length arrivals <> Array.length instances then begin
-      containers_ok := false;
-      add
-        (Diag.error ~code:"T202" ~loc:Diag.Program
-           "arrivals length %d differs from instance count %d" (Bytes.length arrivals)
-           (Array.length instances))
-    end;
-    Array.iteri
-      (fun i id ->
-         if id < 0 || id >= n_paths then begin
-           containers_ok := false;
-           add
-             (Diag.error ~code:"T201" ~loc:(Diag.Instance i)
-                "path id %d outside table of %d paths" id n_paths)
-         end)
-      instances;
-    Bytes.iteri
-      (fun i c ->
-         if Char.code c > 2 then begin
-           containers_ok := false;
-           add
-             (Diag.error ~code:"T202" ~loc:(Diag.Instance i) "invalid arrival code %d"
-                (Char.code c))
-         end)
-      arrivals;
-    let ret_targets = ret_targets_of program in
-    let heads = Bounds.static_heads program in
-    let facts = Array.init n_paths (fun _ -> fresh_facts ()) in
-    (* Per-path structural and transfer-legality checks. *)
-    Path_table.iter
-      (fun p -> lint_path program ret_targets ~n_blocks add p facts.(p.Path.id))
-      table;
-    (* Instance-stream checks. *)
-    if !containers_ok then begin
-      let n = Array.length instances in
-      if n > 0 then
-        lint_first program add facts.(instances.(0)) (Bytes.get arrivals 0);
-      for i = 1 to n - 1 do
-        lint_step program heads ret_targets add ~prev:facts.(instances.(i - 1))
-          ~cur:facts.(instances.(i))
-          ~a:(Bytes.get arrivals i) ~i
-      done
-    end;
-    prog_diags @ List.rev !diags
   end
 
 (* ------------------------------------------------------------------ *)
@@ -334,9 +276,8 @@ module Incremental = struct
 
   let instances t = t.i_seen
 
-  (* Lint every path declared since the last sync, exactly as
-     [check_parts] would, attributing the findings to the batch that
-     first made the path reachable. *)
+  (* Lint every path declared since the last sync, attributing the
+     findings to the batch that first made the path reachable. *)
   let sync_paths t add =
     let np = Path_table.size t.i_table in
     if np > t.i_synced then begin
@@ -379,8 +320,8 @@ module Incremental = struct
       end
     done;
     for j = 0 to n - 1 do
-      let c = arrs.(j) in
-      if c < 0 || c > 2 then begin
+      let c = Char.code (Bytes.get arrs j) in
+      if c > 2 then begin
         containers_ok := false;
         add
           (Diag.error ~code:"T202" ~loc:(Diag.Instance (t.i_seen + j))
@@ -392,11 +333,11 @@ module Incremental = struct
       for j = 0 to n - 1 do
         let i = t.i_seen + j in
         let cur = ids.(j) in
-        if i = 0 then lint_first t.i_program add t.i_facts.(cur) (Char.chr arrs.(0))
+        if i = 0 then lint_first t.i_program add t.i_facts.(cur) (Bytes.get arrs 0)
         else
           lint_step t.i_program t.i_heads t.i_ret_targets add
             ~prev:t.i_facts.(!prev) ~cur:t.i_facts.(cur)
-            ~a:(Char.chr arrs.(j)) ~i;
+            ~a:(Bytes.get arrs j) ~i;
         prev := cur
       done;
       let out = List.rev !diags in
@@ -411,3 +352,26 @@ module Incremental = struct
     end
     else List.rev !diags
 end
+
+(* A whole recording is one batch over its own arrays, so it is judged
+   by exactly the walk a session's batches get. *)
+let check_parts ~program ~table ~instances ~arrivals =
+  match Incremental.create ~program ~table with
+  | Error diags -> diags
+  | Ok t ->
+    let n = Array.length instances in
+    let stream =
+      if Bytes.length arrivals = n then
+        Incremental.check_batch t { Batch.n; ids = instances; arrs = arrivals }
+      else
+        (* No batch can hold the parts: lint the table alone. *)
+        let paths = Incremental.flush_paths t in
+        paths
+        @ [
+          Diag.error ~code:"T202" ~loc:Diag.Program
+            "arrivals length %d differs from instance count %d"
+            (Bytes.length arrivals) n;
+        ]
+    in
+    let late = Incremental.flush_paths t in
+    Incremental.program_diags t @ stream @ late

@@ -30,8 +30,11 @@
     - [T210] (warning) stored [n_instrs]/[n_branches] disagree with the
       program (rescaled-program fixtures trip this legitimately)
 
-    This module deliberately takes the recording as raw parts so that
-    {!Recorder.of_parts} can run it as its validation gate. *)
+    There is one walk: {!check_parts} lints a whole recording as a
+    single {!Batch.t} over its own arrays through {!Incremental}, so a
+    recording and a session's batches are judged by the same code.
+    {!Recorder.of_parts} takes its verdict as the validation gate of
+    every load. *)
 
 open Hotpath_cfg
 module Diag = Hotpath_analysis.Diag
@@ -42,24 +45,27 @@ val check_parts :
   instances:int array ->
   arrivals:Bytes.t ->
   Diag.t list
-(** All diagnostics, path-table findings first, then instance-stream
-    findings in stream order.  If the program itself is structurally
-    broken the program diagnostics are returned alone ([P1xx]); if the
-    containers are inconsistent ([T201]/[T202]) the per-instance walk is
-    skipped. *)
+(** All diagnostics: program warnings, then path-table findings, then
+    instance-stream findings in stream order.  If the program itself is
+    structurally broken the program diagnostics are returned alone
+    ([P1xx]).  It is {!Incremental.create}, one
+    {!Incremental.check_batch} over the parts and
+    {!Incremental.flush_paths}; only the arrivals-vs-instances length
+    check ([T202], reported after the path findings, with no
+    per-instance walk) is its own.  If some id or arrival byte is
+    invalid ([T201]/[T202]) the hand-off walk is skipped. *)
 
 (** Batch-wise linting for online sessions.
 
-    Applies the same [T2xx] checks as {!check_parts}, but one decoded
-    {!Batch.t} at a time against a path table that grows between
-    batches (the streaming decode protocol extends the table, then
-    delivers the instances that reference the new paths).  The only
-    inter-batch state is the previous instance's path facts, so batch
-    boundaries are invisible: on a clean trace, the concatenation of
-    every {!Incremental.check_batch} result plus
-    {!Incremental.flush_paths} equals the {!check_parts} diagnostics for
-    the whole trace (program diagnostics aside, which
-    {!Incremental.create} reports once).
+    Applies the [T2xx] checks one decoded {!Batch.t} at a time against
+    a path table that grows between batches (the streaming decode
+    protocol extends the table, then delivers the instances that
+    reference the new paths).  The only inter-batch state is the
+    previous instance's path facts, so batch boundaries are invisible:
+    on a clean trace, the concatenation of every
+    {!Incremental.check_batch} result plus {!Incremental.flush_paths}
+    equals the {!check_parts} diagnostics for the whole trace (program
+    diagnostics aside, which {!Incremental.create} reports once).
 
     A batch that produces any error is {e not committed}: the linter's
     seam state is left untouched, so a caller can reject the batch
@@ -79,7 +85,7 @@ module Incremental : sig
       warnings only — errors surface through [create]). *)
 
   val check_batch : t -> Batch.t -> Diag.t list
-  (** Lint newly declared paths, the batch's ids and arrival codes, and
+  (** Lint newly declared paths, the batch's ids and arrival bytes, and
       every inter-instance hand-off including the seam from the previous
       batch.  Commits the seam state only when no error was found. *)
 

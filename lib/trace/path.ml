@@ -22,6 +22,19 @@ let head_kind_to_string = function
   | Entry -> "entry"
   | Continuation -> "continuation"
 
+let arrival_code = function
+  | Loop_head -> '\000'
+  | Entry -> '\001'
+  | Continuation -> '\002'
+
+let arrival_kind = function
+  | '\000' -> Loop_head
+  | '\001' -> Entry
+  | '\002' -> Continuation
+  | c ->
+    invalid_arg
+      (Printf.sprintf "Path.arrival_kind: bad arrival code %d" (Char.code c))
+
 let end_kind_to_string = function
   | Backward_transfer -> "backward-transfer"
   | Matched_return -> "matched-return"

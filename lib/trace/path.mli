@@ -47,6 +47,16 @@ val pp : Format.formatter -> t -> unit
 
 val head_kind_to_string : head_kind -> string
 
+val arrival_code : head_kind -> char
+(** The arrival byte: ['\000'] loop head, ['\001'] entry, ['\002']
+    continuation.  It is the one stored form of an arrival: a
+    recording's arrivals, every batch and HOTPATH3 instance frames hold
+    these bytes. *)
+
+val arrival_kind : char -> head_kind
+(** Inverse of {!arrival_code}.
+    @raise Invalid_argument on any other byte. *)
+
 val end_kind_to_string : end_kind -> string
 
 val divergence : t -> t -> int option

@@ -1,6 +1,7 @@
 module Cfg = Hotpath_cfg.Cfg
 module Vm = Hotpath_vm.Vm
 module Behavior = Hotpath_vm.Behavior
+module Diag = Hotpath_analysis.Diag
 
 type t = {
   program : Cfg.program;
@@ -9,17 +10,6 @@ type t = {
   arrivals : Bytes.t;
   vm_stats : Vm.run_stats;
 }
-
-let arrival_code = function
-  | Path.Loop_head -> '\000'
-  | Path.Entry -> '\001'
-  | Path.Continuation -> '\002'
-
-let arrival_of_code = function
-  | '\000' -> Path.Loop_head
-  | '\001' -> Path.Entry
-  | '\002' -> Path.Continuation
-  | c -> invalid_arg (Printf.sprintf "Recorder: bad arrival code %d" (Char.code c))
 
 type chunked_summary = {
   cs_instances : int;
@@ -52,7 +42,7 @@ let push buf id arrival =
     buf.b_arrivals <- Bytes.extend buf.b_arrivals 0 (size - n)
   end;
   Array.unsafe_set buf.b_ids n id;
-  Bytes.unsafe_set buf.b_arrivals n (arrival_code arrival);
+  Bytes.unsafe_set buf.b_arrivals n (Path.arrival_code arrival);
   buf.b_len <- n + 1
 
 let drive ?max_steps ?max_paths ?max_stack program behavior ~rng ~table ~on_path =
@@ -107,49 +97,18 @@ let record ?max_steps ?max_paths ?max_stack program behavior ~rng =
     vm_stats;
   }
 
+(* Every check a loaded recording needs is one of the linter's: ids
+   in the table (T201), one valid arrival byte per instance (T202),
+   path blocks inside the program (T203) and the program itself (the
+   structural pass, which rejects whatever [Cfg.validate] does). *)
 let of_parts ~program ~table ~instances ~arrivals ~vm_stats =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  match Cfg.validate program with
-  | Error e -> err "invalid program: %s" e
-  | Ok () ->
-    let n_paths = Path_table.size table in
-    let n_blocks = Array.length program.Cfg.blocks in
-    if Bytes.length arrivals <> Array.length instances then
-      err "arrivals length %d <> instances length %d" (Bytes.length arrivals)
-        (Array.length instances)
-    else if Array.exists (fun id -> id < 0 || id >= n_paths) instances then
-      err "instance path id out of range"
-    else if
-      Bytes.exists (fun c -> Char.code c > 2) arrivals
-    then err "invalid arrival code"
-    else begin
-      let bad_path = ref None in
-      Path_table.iter
-        (fun p ->
-           if
-             !bad_path = None
-             && Array.exists (fun b -> b < 0 || b >= n_blocks) p.Path.blocks
-           then bad_path := Some p.Path.id)
-        table;
-      match !bad_path with
-      | Some id -> err "path %d references blocks outside the program" id
-      | None -> (
-          match
-            List.find_opt
-              (fun d -> d.Hotpath_analysis.Diag.severity = Hotpath_analysis.Diag.Error)
-              (Lint.check_parts ~program ~table ~instances ~arrivals)
-          with
-          | Some d -> err "%s" (Hotpath_analysis.Diag.to_string d)
-          | None ->
-            Ok
-              {
-                program;
-                table;
-                instances;
-                arrivals;
-                vm_stats;
-              })
-    end
+  match
+    List.find_opt
+      (fun d -> d.Diag.severity = Diag.Error)
+      (Lint.check_parts ~program ~table ~instances ~arrivals)
+  with
+  | Some d -> Error (Diag.to_string d)
+  | None -> Ok { program; table; instances; arrivals; vm_stats }
 
 let lint t =
   Lint.check_parts ~program:t.program ~table:t.table ~instances:t.instances
@@ -161,7 +120,7 @@ let num_paths t = Path_table.size t.table
 
 let instance_path t i = Path_table.path t.table t.instances.(i)
 
-let arrival t i = arrival_of_code (Bytes.get t.arrivals i)
+let arrival t i = Path.arrival_kind (Bytes.get t.arrivals i)
 
 let frequencies t =
   let freq = Array.make (Path_table.size t.table) 0 in

@@ -15,8 +15,9 @@ type t = private {
   table : Path_table.t;
   instances : int array;  (** Path id per executed path instance, in order. *)
   arrivals : Bytes.t;
-      (** Head kind per instance, encoded: 0 = loop head, 1 = entry,
-          2 = continuation. *)
+      (** Head kind per instance, as {!Path.arrival_code} bytes.  With
+          [instances] this is a {!Batch.t}'s layout, so replay hands the
+          two arrays to a session as they are. *)
   vm_stats : Hotpath_vm.Vm.run_stats;
 }
 
@@ -75,11 +76,6 @@ val record_chunked :
     at every chunk size.
     @raise Invalid_argument when [chunk_instances < 1]. *)
 
-val arrival_of_code : char -> Path.head_kind
-(** Decode an arrival byte (the encoding of the [arrivals] field and of
-    streamed chunks): 0 = loop head, 1 = entry, 2 = continuation.
-    @raise Invalid_argument on any other byte. *)
-
 val of_parts :
   program:Cfg.program ->
   table:Path_table.t ->
@@ -87,15 +83,14 @@ val of_parts :
   arrivals:Bytes.t ->
   vm_stats:Hotpath_vm.Vm.run_stats ->
   (t, string) result
-(** Reassemble a recording (deserialization support).  Validates that the
-    program is well-formed, every instance id is a table path, arrival
-    codes are in range and as numerous as the instances, and every path's
-    blocks exist in the program — then runs the full trace linter
-    ([Hotpath_trace.Lint.check_parts]): transfer legality, arrival
-    consistency, head-set membership, end-kind plausibility.  Any
-    error-severity finding rejects the parts (first finding as the
-    message); warnings (e.g. metadata that disagrees with a rescaled
-    program) are tolerated — retrieve them with {!lint}. *)
+(** Reassemble a recording (deserialization support): [Ok] exactly when
+    the trace linter ([Hotpath_trace.Lint.check_parts]) finds no
+    error-severity diagnostic, else its first error as the message.  The
+    linter covers the program's structure, instance ids in the table,
+    one valid arrival byte per instance, path blocks inside the program,
+    transfer legality, arrival consistency, head-set membership and
+    end-kind plausibility.  Warnings (e.g. metadata that disagrees with
+    a rescaled program) are tolerated — retrieve them with {!lint}. *)
 
 val lint : t -> Hotpath_analysis.Diag.t list
 (** Re-run the trace linter on an assembled recording.  Recordings made

@@ -573,7 +573,7 @@ module Stream = struct
     stats
 
   (* The hot path: an instance frame's count, ids and arrival bytes are
-     validated and widened straight from the window into the caller's
+     validated and stored straight from the window into the caller's
      batch — no payload string, no per-frame allocation.  The checks and
      their messages are those of the cursor parsers: a payload too short
      for its count field fails like [get_i32] at offset 0. *)
@@ -595,7 +595,7 @@ module Stream = struct
     for j = 0 to n - 1 do
       let a = ba_u8 buf (aoff + j) in
       if a > 2 then fail "invalid arrival code %d" a;
-      Array.unsafe_set arrs j a
+      Bytes.unsafe_set arrs j (Char.unsafe_chr a)
     done;
     if len <> 4 + (5 * n) then
       fail "frame has %d trailing bytes" (len - (4 + (5 * n)));
@@ -766,10 +766,11 @@ module Stream = struct
       match next_batch rd batch with
       | Error e -> Error e
       | Ok true ->
-        for j = 0 to Batch.length batch - 1 do
-          Vec.push ids batch.Batch.ids.(j);
-          Buffer.add_uint8 arrivals batch.Batch.arrs.(j)
+        let n = Batch.length batch in
+        for j = 0 to n - 1 do
+          Vec.push ids batch.Batch.ids.(j)
         done;
+        Buffer.add_subbytes arrivals batch.Batch.arrs 0 n;
         drain ()
       | Ok false -> (
           match

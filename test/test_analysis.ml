@@ -661,12 +661,71 @@ let prop_structural_lint_iff_validate =
        in
        Lint.structural broken <> [] && Cfg.validate broken <> Ok ())
 
+(* [check_parts] as a session sees it: the stream cut into batches of
+   [g] instances (fresh copies, so no batch aliases the recording),
+   stopping after the first batch with an error, as a session refusing
+   that batch would. *)
+let lint_in_cuts ~program ~table ~instances ~arrivals g =
+  match Trace_lint.Incremental.create ~program ~table with
+  | Error diags -> diags
+  | Ok t ->
+    let n = Array.length instances in
+    let rec go off acc =
+      if off >= n then acc
+      else
+        let m = min g (n - off) in
+        let b =
+          { Hotpath_trace.Batch.n = m; ids = Array.sub instances off m;
+            arrs = Bytes.sub arrivals off m }
+        in
+        let d = Trace_lint.Incremental.check_batch t b in
+        if Diag.has_errors d then d :: acc else go (off + m) (d :: acc)
+    in
+    let stream = List.concat (List.rev (go 0 [])) in
+    let late = Trace_lint.Incremental.flush_paths t in
+    Trace_lint.Incremental.program_diags t @ stream @ late
+
+let first_error diags =
+  List.find_opt (fun d -> d.Diag.severity = Diag.Error) diags
+
 let prop_recordings_lint_without_errors =
-  QCheck.Test.make ~name:"real recordings carry no error-severity findings"
+  (* A recording lints clean, and lint.mli's promise holds on it:
+     check_batch over any cut plus flush_paths is check_parts.  Cuts:
+     every instance a seam, primes that never align, one batch past the
+     end.  With one arrival byte changed (to another valid code, or to
+     7), the cut run's first error is check_parts's. *)
+  QCheck.Test.make
+    ~name:"real recordings carry no error-severity findings, in any batch cut"
     ~count:30 arb_workload
-    (fun w ->
-       let _, recorded = record_spec w in
-       not (Diag.has_errors (Recorder.lint recorded)))
+    (fun ((_, seed) as w) ->
+       let program, r = record_spec w in
+       let table = r.Recorder.table and instances = r.Recorder.instances in
+       let n = Array.length instances in
+       let cuts = [ 1; 2; 7; 13; 2 + (seed mod 97); 997; n + 1 ] in
+       let whole arrivals =
+         Trace_lint.check_parts ~program ~table ~instances ~arrivals
+       in
+       let clean = r.Recorder.arrivals in
+       let reference = Recorder.lint r in
+       (not (Diag.has_errors reference))
+       && List.for_all
+         (fun g ->
+            lint_in_cuts ~program ~table ~instances ~arrivals:clean g = reference)
+         cuts
+       && (n = 0
+           ||
+           let flipped = Bytes.copy clean and i = seed mod n in
+           let old = Bytes.get clean i in
+           let codes = [| '\000'; '\001'; '\002'; '\007' |] in
+           let c = codes.(seed / n mod 4) in
+           Bytes.set flipped i (if c = old then '\007' else c);
+           let expected = first_error (whole flipped) in
+           List.for_all
+             (fun g ->
+                first_error
+                  (lint_in_cuts ~program ~table ~instances ~arrivals:flipped g)
+                = expected)
+             cuts))
 
 (* ------------------------------------------------------------------ *)
 

@@ -407,10 +407,8 @@ let push_in_slices scheme ~delays (r : Recorder.t) g =
       else begin
         let m = min g (n - off) in
         Batch.ensure b m;
-        for j = 0 to m - 1 do
-          b.Batch.ids.(j) <- r.Recorder.instances.(off + j);
-          b.Batch.arrs.(j) <- Char.code (Bytes.get r.Recorder.arrivals (off + j))
-        done;
+        Array.blit r.Recorder.instances off b.Batch.ids 0 m;
+        Bytes.blit r.Recorder.arrivals off b.Batch.arrs 0 m;
         Batch.set_length b m;
         match Session.push_batch sess b with
         | Error _ -> None

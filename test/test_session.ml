@@ -65,10 +65,8 @@ let session_exn ?events ?lint ?on_predict packed ~delays (r : Recorder.t) =
 (* Fill [b] with instances [off, off + len) of [r]. *)
 let fill_batch (b : Batch.t) (r : Recorder.t) off len =
   Batch.ensure b len;
-  for j = 0 to len - 1 do
-    b.Batch.ids.(j) <- r.Recorder.instances.(off + j);
-    b.Batch.arrs.(j) <- Char.code (Bytes.get r.Recorder.arrivals (off + j))
-  done;
+  Array.blit r.Recorder.instances off b.Batch.ids 0 len;
+  Bytes.blit r.Recorder.arrivals off b.Batch.arrs 0 len;
   Batch.set_length b len
 
 let batch_of r off len =
@@ -238,7 +236,7 @@ let test_push_batch_validates_under_lint () =
   let one id code =
     let b = Batch.create ~capacity:1 () in
     b.Batch.ids.(0) <- id;
-    b.Batch.arrs.(0) <- code;
+    Bytes.set b.Batch.arrs 0 (Char.chr code);
     Batch.set_length b 1;
     b
   in
@@ -410,7 +408,7 @@ let test_unlinted_session_still_validates_ids () =
   | Ok () -> Alcotest.fail "out-of-range path id accepted"
   | Error _ -> ());
   b.Batch.ids.(0) <- 0;
-  b.Batch.arrs.(0) <- 7;
+  Bytes.set b.Batch.arrs 0 '\007';
   (match Session.push_batch sess b with
   | Ok () -> Alcotest.fail "invalid arrival code accepted"
   | Error _ -> ());

@@ -359,7 +359,7 @@ let collector () =
   let add (b : Batch.t) =
     let n = Batch.length b in
     ids := Array.sub b.Batch.ids 0 n :: !ids;
-    arrs := String.init n (fun j -> Char.chr b.Batch.arrs.(j)) :: !arrs
+    arrs := Bytes.sub_string b.Batch.arrs 0 n :: !arrs
   in
   let result () =
     (Array.concat (List.rev !ids), String.concat "" (List.rev !arrs))
